@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/parallel_checkpoint.hpp"
@@ -56,15 +58,9 @@ io::StorageOptions storage_options(const ManagerOptions& opts) {
 Epoch chain_next_epoch(const std::string& path) {
   Epoch next = 0;
   auto peek_all = [&next](const std::string& p) {
-    io::FrameIterator it(p, {.salvage = true});
-    io::Frame frame;
-    while (it.next(frame)) {
-      try {
-        const Epoch e = peek_header(frame.payload).epoch;
-        if (e + 1 > next) next = e + 1;
-      } catch (const Error&) {
-      }
-    }
+    for (const io::IndexedFrame& f :
+         io::index_frames(p, {.salvage = true}, stream_header_probe()).frames)
+      if (f.header_ok) next = std::max(next, f.epoch + 1);
   };
   peek_all(path);
   peek_all(path + ".bak");
@@ -536,51 +532,14 @@ std::uint64_t CheckpointManager::heal_append_failure(
 
 namespace {
 
-/// Payload-free record of one frame, built by the indexing pass. Holding
-/// only these (24-ish bytes each) instead of io::Frame payloads is what
-/// bounds recovery memory by the largest frame rather than the log size.
-struct FrameMeta {
-  std::uint64_t seq = 0;
-  bool resync = false;
-  /// Mode peeked from the payload while it was streaming past; nullopt when
-  /// even the stream header is undecodable (such a frame cannot anchor a
-  /// window or be addressed by epoch).
-  std::optional<Mode> mode;
-  /// Stream-header epoch; meaningful iff mode is set.
-  Epoch epoch = 0;
-};
-
-/// End-of-scan state of the indexing pass (mirrors io::ScanResult minus the
-/// frames).
-struct LogIndex {
-  std::vector<FrameMeta> frames;
-  bool clean = true;
-  std::string stop_reason;
-  std::uint64_t stop_offset = 0;
-  std::size_t regions_skipped = 0;
-  std::uint64_t bytes_skipped = 0;
-};
-
-LogIndex index_log(const std::string& path, const io::ScanOptions& sopts) {
+/// Index the log without materializing payloads (io::index_frames), under
+/// the recovery's scan span and counters. Holding a few dozen bytes per
+/// frame instead of payloads is what bounds recovery memory by the largest
+/// frame rather than the log size.
+io::FrameIndex index_log(const std::string& path,
+                         const io::ScanOptions& sopts) {
   obs::Span span("storage.scan", "io");
-  io::FrameIndex raw = io::index_frames(path, sopts, stream_header_probe());
-  LogIndex index;
-  index.frames.reserve(raw.frames.size());
-  for (const io::IndexedFrame& f : raw.frames) {
-    FrameMeta meta;
-    meta.seq = f.seq;
-    meta.resync = f.resync;
-    if (f.header_ok) {
-      meta.mode = static_cast<Mode>(f.mode);
-      meta.epoch = f.epoch;
-    }
-    index.frames.push_back(meta);
-  }
-  index.clean = raw.clean;
-  index.stop_reason = raw.stop_reason;
-  index.stop_offset = raw.stop_offset;
-  index.regions_skipped = raw.regions_skipped;
-  index.bytes_skipped = raw.bytes_skipped;
+  io::FrameIndex index = io::index_frames(path, sopts, stream_header_probe());
   // recover() used to obtain its frames through StableStorage::scan, which
   // feeds the scan counters; keep feeding them now that it streams the log
   // itself (ickptctl stats --self-test checks these stay live). Cold path:
@@ -597,21 +556,28 @@ LogIndex index_log(const std::string& path, const io::ScanOptions& sopts) {
   return index;
 }
 
-/// Replay frames [begin, end) of the log at `path` into a fresh Recovery,
-/// re-streaming the file for each attempt (the log is closed and static
-/// during recovery) and decoding one payload at a time. On a decode failure
+/// A frame that can anchor a window: its stream header parsed as full.
+bool is_full(const io::IndexedFrame& f) {
+  return f.header_ok && static_cast<Mode>(f.mode) == Mode::kFull;
+}
+
+/// Replay frames [begin, end) of the indexed log at `path` into a fresh
+/// Recovery. Each attempt opens the log at the window's full checkpoint —
+/// the offset the index recorded; a window never crosses a salvage resync,
+/// so that is a valid frame boundary — and decodes one payload at a time.
+/// Every frame still passes the iterator's magic and CRC tests and must be
+/// the frame the index recorded at that position. On a decode failure
 /// *after* the full checkpoint, trims the window at the failing frame and
 /// replays — the surviving prefix is still consistent (recovery applies
 /// frames in order, so frames before the bad one are unaffected by it).
 /// Returns false when the full checkpoint itself is undecodable. Trims are
 /// collected into `note`; `records` receives the record count of the
-/// finally-applied window; `passes` counts the re-streams.
-bool apply_window(const std::string& path, const io::ScanOptions& sopts,
-                  const std::vector<FrameMeta>& meta, std::size_t begin,
-                  std::size_t end_limit, const TypeRegistry& registry,
-                  RecoveredState& out, std::size_t& applied,
-                  RecoveryNote& note, std::size_t& records,
-                  std::size_t& passes) {
+/// finally-applied window; `passes` counts the log opens.
+bool apply_window(const std::string& path, const io::FrameIndex& index,
+                  std::size_t begin, std::size_t end_limit,
+                  const TypeRegistry& registry, RecoveredState& out,
+                  std::size_t& applied, RecoveryNote& note,
+                  std::size_t& records, std::size_t& passes) {
   std::size_t end = end_limit;
   while (end > begin) {
     Recovery recovery(registry);
@@ -620,20 +586,19 @@ bool apply_window(const std::string& path, const io::ScanOptions& sopts,
     bool failed = false;
     ApplyStats window_stats;
     {
-      io::FrameIterator it(path, sopts);
+      io::FrameIterator it(path, {}, index.frames[begin].offset);
       ++passes;
       io::Frame frame;
-      // Frames before the window stream past without being decoded (the
-      // iterator reuses one payload buffer, so skipping costs no memory).
-      for (std::size_t skip = 0; skip < begin; ++skip) {
-        if (!it.next(frame))
-          throw CorruptionError("log '" + path +
-                                "' shrank while recovering from it");
-      }
       for (; at < end; ++at) {
-        if (!it.next(frame))
+        const io::IndexedFrame& want = index.frames[at];
+        if (!it.next(frame) || frame.offset != want.offset ||
+            frame.seq != want.seq)
           throw CorruptionError("log '" + path +
-                                "' shrank while recovering from it");
+                                "' changed while recovering from it: frame "
+                                "seq " +
+                                std::to_string(want.seq) + " at byte " +
+                                std::to_string(want.offset) +
+                                " no longer reads back");
         try {
           io::DataReader reader(frame.payload);
           ApplyStats frame_stats;
@@ -661,34 +626,27 @@ bool apply_window(const std::string& path, const io::ScanOptions& sopts,
       }
     }
     if (at == begin) return false;
-    note.trims.push_back(RecoveryNote::Trim{
-        meta[at].seq, what, end_limit - at});
+    note.trims.push_back(
+        RecoveryNote::Trim{index.frames[at].seq, what, end_limit - at});
     end = at;
   }
   return false;
 }
 
-}  // namespace
-
-namespace {
-
 /// Recover from one log file (no generation walking); the member recover()
-/// wraps this with the fall-back across quarantined generations.
+/// wraps this with the fall-back across quarantined generations. `shared`,
+/// when given, is the index of `path` built with opts.salvage: compaction
+/// builds it once for all its recoveries. Otherwise this builds its own.
 RecoverResult recover_one(const std::string& path,
-                          const TypeRegistry& registry, RecoverOptions opts) {
+                          const TypeRegistry& registry, RecoverOptions opts,
+                          const io::FrameIndex* shared = nullptr) {
   obs::Span span("checkpoint.recover", "recovery");
-  const io::ScanOptions sopts{.salvage = opts.salvage};
 
   // Pass 1: index the log without materializing payloads.
-  LogIndex index = index_log(path, sopts);
-  std::size_t passes = 1;
-  if (index.frames.empty()) {
-    if (opts.target_epoch.has_value())
-      throw EpochNotRetainedError(path, *opts.target_epoch, std::nullopt,
-                                  std::nullopt);
-    throw CorruptionError("no recoverable checkpoint in '" + path + "'" +
-                          (index.clean ? "" : " (" + index.stop_reason + ")"));
-  }
+  io::FrameIndex own;
+  if (shared == nullptr) own = index_log(path, {.salvage = opts.salvage});
+  const io::FrameIndex& index = shared != nullptr ? *shared : own;
+  std::size_t passes = shared != nullptr ? 0 : 1;
 
   // Time-travel: locate the newest parseable frame carrying the target
   // epoch. Its absence is an EpochNotRetainedError naming the nearest
@@ -696,24 +654,14 @@ RecoverResult recover_one(const std::string& path,
   std::optional<std::size_t> target_at;
   if (opts.target_epoch.has_value()) {
     const Epoch target = *opts.target_epoch;
-    for (std::size_t i = index.frames.size(); i-- > 0;) {
-      if (index.frames[i].mode.has_value() &&
-          index.frames[i].epoch == target) {
-        target_at = i;
-        break;
-      }
-    }
-    if (!target_at.has_value()) {
-      std::optional<Epoch> below;
-      std::optional<Epoch> above;
-      for (const FrameMeta& f : index.frames) {
-        if (!f.mode.has_value()) continue;
-        if (f.epoch < target && (!below || f.epoch > *below)) below = f.epoch;
-        if (f.epoch > target && (!above || f.epoch < *above)) above = f.epoch;
-      }
-      throw EpochNotRetainedError(path, target, below, above);
-    }
+    target_at = index.find_epoch(target);
+    if (!target_at.has_value())
+      throw EpochNotRetainedError(path, target, index.nearest_below(target),
+                                  index.nearest_above(target));
   }
+  if (index.frames.empty())
+    throw CorruptionError("no recoverable checkpoint in '" + path + "'" +
+                          (index.clean ? "" : " (" + index.stop_reason + ")"));
 
   RecoverResult result;
   result.recovered_path = path;
@@ -744,85 +692,68 @@ RecoverResult recover_one(const std::string& path,
     if (index.frames[i].resync) starts.push_back(i);
   starts.push_back(index.frames.size());
 
+  // Candidate ranges [segment begin, window end), newest first. Time travel
+  // has one: the target's segment, ending right after the target's frame.
+  // Otherwise the newest usable window wins: every segment from the back,
+  // each ending at the segment's end.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  if (target_at.has_value()) {
+    const auto seg = std::upper_bound(starts.begin(), starts.end(), *target_at);
+    ranges.emplace_back(*std::prev(seg), *target_at + 1);
+  } else {
+    for (std::size_t s = starts.size() - 1; s-- > 0;)
+      ranges.emplace_back(starts[s], starts[s + 1]);
+  }
+
+  // Inside a range, prefer the latest full checkpoint. Pass 2..n: each
+  // candidate window opens the log at its full checkpoint (frame payloads
+  // decoded one at a time).
   bool recovered = false;
   bool saw_empty_window = false;
   std::size_t records_applied = 0;
-  if (target_at.has_value()) {
-    // Time-travel window: anchored on a full checkpoint at or before the
-    // target, ending right after the target's frame, inside the target's
-    // contiguous segment (across a corrupt gap, deltas may be missing).
-    std::size_t seg_begin = 0;
-    for (std::size_t s = 0; s + 1 < starts.size(); ++s)
-      if (starts[s] <= *target_at && *target_at < starts[s + 1])
-        seg_begin = starts[s];
-    const std::size_t end_limit = *target_at + 1;
+  for (const auto& [seg_begin, end_limit] : ranges) {
     for (std::size_t i = end_limit; i-- > seg_begin && !recovered;) {
-      if (index.frames[i].mode != Mode::kFull) continue;
+      if (!is_full(index.frames[i])) continue;
       std::size_t applied = 0;
       obs::Span apply_span("recover.apply_window", "recovery");
-      if (apply_window(path, sopts, index.frames, i, end_limit, registry,
-                       result.state, applied, note, records_applied,
-                       passes)) {
-        // apply_window trims damaged tails; a trimmed window no longer
-        // reaches the target, and time-travel must never report success
-        // with a different epoch's state.
-        if (result.state.epoch != *opts.target_epoch ||
-            (result.state.by_id.empty() && result.state.roots.empty())) {
-          saw_empty_window = result.state.by_id.empty();
-          result.state = RecoveredState{};
-          continue;
-        }
-        result.checkpoints_applied = applied;
-        recovered = true;
+      if (!apply_window(path, index, i, end_limit, registry, result.state,
+                        applied, note, records_applied, passes))
+        continue;
+      // The window's frames may decode but hold no object records (e.g. a
+      // bare stream header): never return an empty graph as recovered
+      // state. And apply_window trims damaged tails; a trimmed window no
+      // longer reaches a time-travel target, and time travel must never
+      // report success with a different epoch's state.
+      const bool empty =
+          result.state.by_id.empty() && result.state.roots.empty();
+      if (empty || (target_at.has_value() &&
+                    result.state.epoch != *opts.target_epoch)) {
+        saw_empty_window = saw_empty_window || empty;
+        result.state = RecoveredState{};
+        continue;
       }
+      result.checkpoints_applied = applied;
+      recovered = true;
     }
-    result.stream_passes = passes;
-    if (!recovered)
+    if (recovered) break;
+  }
+  result.stream_passes = passes;
+  if (!recovered) {
+    if (target_at.has_value())
       throw CorruptionError(
           "epoch " + std::to_string(*opts.target_epoch) + " is on log '" +
           path +
           "' but no undamaged window reaches it (its full-checkpoint anchor "
           "or an intervening delta is unreadable)");
-  } else {
-    // Newest usable window wins: walk segments from the back, and inside a
-    // segment prefer the latest full checkpoint. Pass 2..n: each candidate
-    // window re-streams the log (frame payloads decoded one at a time).
-    for (std::size_t s = starts.size() - 1; s-- > 0 && !recovered;) {
-      const std::size_t seg_begin = starts[s];
-      const std::size_t seg_end = starts[s + 1];
-      for (std::size_t i = seg_end; i-- > seg_begin && !recovered;) {
-        if (index.frames[i].mode != Mode::kFull) continue;
-        std::size_t applied = 0;
-        obs::Span apply_span("recover.apply_window", "recovery");
-        if (apply_window(path, sopts, index.frames, i, seg_end, registry,
-                         result.state, applied, note, records_applied,
-                         passes)) {
-          if (result.state.by_id.empty() && result.state.roots.empty()) {
-            // The window's frames decode but hold no object records (e.g. a
-            // bare stream header). Never return an empty graph as recovered
-            // state; keep searching older windows.
-            saw_empty_window = true;
-            result.state = RecoveredState{};
-            continue;
-          }
-          result.checkpoints_applied = applied;
-          recovered = true;
-        }
-      }
-    }
-    result.stream_passes = passes;
-    if (!recovered) {
-      if (saw_empty_window)
-        throw CorruptionError(
-            "log '" + path +
-            "' contains only empty checkpoint frames (stream headers with no "
-            "object records) — nothing to recover; restore the log or recover "
-            "from an older generation");
-      throw CorruptionError("log '" + path +
-                            "' contains no usable full checkpoint" +
-                            (index.clean ? "" : " (" + index.stop_reason +
-                                                ")"));
-    }
+    if (saw_empty_window)
+      throw CorruptionError(
+          "log '" + path +
+          "' contains only empty checkpoint frames (stream headers with no "
+          "object records) — nothing to recover; restore the log or recover "
+          "from an older generation");
+    throw CorruptionError("log '" + path +
+                          "' contains no usable full checkpoint" +
+                          (index.clean ? "" : " (" + index.stop_reason + ")"));
   }
 
   result.frames_dropped = result.frames_total - result.checkpoints_applied;
@@ -1013,11 +944,7 @@ CompactResult CheckpointManager::compact(const std::string& path,
   if (timed) t0 = std::chrono::steady_clock::now();
 
   CompactResult result;
-  try {
-    result.bytes_before = io::read_file(path).size();
-  } catch (const IoError&) {
-    result.bytes_before = 0;
-  }
+  result.bytes_before = io::file_size(path);
 
   // The replacement log is built in a sibling file and atomically published
   // over the original: temp write + fsync + rename + directory fsync. A
@@ -1034,9 +961,11 @@ CompactResult CheckpointManager::compact(const std::string& path,
     if (binomial) {
       // Which epochs does the schedule want, of the ones actually here?
       // Only the live log is rewritten — quarantined generations are
-      // post-mortem artifacts, not subject to retention.
-      const io::FrameIndex index =
-          io::index_frames(path, {.salvage = true}, stream_header_probe());
+      // post-mortem artifacts, not subject to retention. This one index
+      // also serves every retained epoch's recovery below, each of which
+      // opens the log at its own window.
+      RecoverOptions ropts;
+      const io::FrameIndex index = index_log(path, {.salvage = ropts.salvage});
       const std::vector<Epoch> present = index.epochs();
       if (present.empty())
         throw CorruptionError("no parseable epochs on '" + path +
@@ -1052,12 +981,10 @@ CompactResult CheckpointManager::compact(const std::string& path,
       // numbering (epoch_ = next_seq()) resumes correctly past the rewrite.
       // O(log n) recoveries of the unchanged original log, oldest first.
       for (Epoch e : targets) {
-        RecoverOptions ropts;
-        ropts.walk_generations = false;
         ropts.target_epoch = e;
         RecoveredState state;
         try {
-          state = recover(path, registry, ropts).state;
+          state = recover_one(path, registry, ropts, &index).state;
         } catch (const CorruptionError&) {
           // A scheduled epoch whose window is damaged cannot be carried
           // forward; drop it rather than fail the whole compaction.
@@ -1073,7 +1000,6 @@ CompactResult CheckpointManager::compact(const std::string& path,
       if (result.retained.empty())
         throw CorruptionError("policy compaction of '" + path +
                               "': no scheduled epoch is recoverable");
-      result.bytes_after = result.bytes_before;  // placeholder; fixed below
     } else {
       RecoverResult recovered = recover(path, registry);
       result.objects = recovered.state.by_id.size();
@@ -1088,11 +1014,7 @@ CompactResult CheckpointManager::compact(const std::string& path,
   }
   io::rename_durable(tmp_path, path);
   if (binomial) {
-    try {
-      result.bytes_after = io::read_file(path).size();
-    } catch (const IoError&) {
-      result.bytes_after = 0;
-    }
+    result.bytes_after = io::file_size(path);
     // Declare what was kept. Published after the log so a crash between the
     // two leaves a *stale* manifest — safe by schedule monotonicity (a
     // newer schedule only drops epochs the stale one already declared), and
@@ -1122,14 +1044,6 @@ CompactResult CheckpointManager::compact(const std::string& path,
               std::to_string(result.retained.size()) +
               " epoch(s) retained");
   return result;
-}
-
-CompactResult CheckpointManager::compact(const std::string& path,
-                                         const TypeRegistry& registry,
-                                         io::FaultPolicy* fault) {
-  return compact(path, registry,
-                 CompactOptions{.policy = CompactPolicy::kSquashAll,
-                                .fault = fault});
 }
 
 }  // namespace ickpt::core

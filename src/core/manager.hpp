@@ -4,15 +4,18 @@
 // Policy: the first checkpoint and every `full_interval`-th one are full;
 // the rest are incremental. recover() locates the most recent *usable* full
 // checkpoint and replays it plus every incremental after it, streaming the
-// log: one pass builds a payload-free index (seq, mode, segment
-// boundaries), then each replay attempt re-streams to decode the chosen
-// window's frames one at a time — peak memory is O(largest frame), not
-// O(log size). With salvage
-// enabled (the default) a mid-log corrupt frame no longer truncates the
-// whole suffix: the scan resynchronizes past the damage, and recovery picks
-// the newest checkpoint window that is contiguous (no corrupt region
-// between its full checkpoint and its last incremental) — so damage costs
-// at most one window, never checkpoints that a later full supersedes.
+// log: one pass builds a payload-free index (io::FrameIndex: seq, offset,
+// mode, epoch, segment boundaries), then each replay attempt seeks to the
+// chosen window's full checkpoint at the offset the index recorded and
+// decodes the window's frames one at a time — the bytes before the window
+// are never read again, and peak memory is O(largest frame), not O(log
+// size). With salvage enabled (the default) a mid-log corrupt frame no
+// longer truncates the whole suffix: the scan resynchronizes past the
+// damage, and recovery picks the newest checkpoint window that is
+// contiguous (no corrupt region between its full checkpoint and its last
+// incremental) — so damage costs at most one window, never checkpoints
+// that a later full supersedes. A binomial compact() builds the index once
+// and runs every retained epoch's recovery against it.
 #pragma once
 
 #include <optional>
@@ -152,10 +155,11 @@ struct RecoverResult {
   std::uint64_t bytes_skipped = 0;
   /// Byte offset where the first damage begins (valid when !log_clean).
   std::uint64_t damage_offset = 0;
-  /// Times the log was streamed end to end: one indexing pass plus one per
-  /// replay attempt (a clean log recovers in exactly 2). Recovery memory is
-  /// O(largest frame) regardless of log size — frame payloads are never
-  /// materialized together.
+  /// Times the log was opened for streaming: one indexing pass plus one per
+  /// replay attempt, which starts at its window's full checkpoint (a clean
+  /// log recovers in exactly 2). Recovery memory is O(largest frame)
+  /// regardless of log size — frame payloads are never materialized
+  /// together.
   std::size_t stream_passes = 0;
 };
 
@@ -175,7 +179,10 @@ struct CompactOptions {
 struct CompactResult {
   /// Objects in the newest surviving full checkpoint.
   std::size_t objects = 0;
+  /// Size of the log file before the rewrite (0 when it did not exist).
   std::size_t bytes_before = 0;
+  /// kBinomial: size of the rewritten log file. kSquashAll: size of the
+  /// one full payload it holds, without the 20-byte frame header.
   std::size_t bytes_after = 0;
   /// Epochs the rewritten log carries, ascending ({newest} for kSquashAll).
   std::vector<Epoch> retained;
@@ -281,23 +288,22 @@ class CheckpointManager {
   /// fail to recover.
   static std::vector<HistoryEntry> history(const std::string& path);
 
-  /// Rewrite `path` per CompactOptions::policy: kSquashAll keeps one full
-  /// checkpoint of the newest state (checkpoint-log garbage collection,
-  /// removing any `<path>.retain` manifest); kBinomial keeps the
+  /// Rewrite `path` per CompactOptions::policy: kSquashAll (the default)
+  /// keeps one full checkpoint of the newest state (checkpoint-log garbage
+  /// collection, removing any `<path>.retain` manifest); kBinomial keeps the
   /// RetentionPolicy schedule — each retained epoch recovered and rewritten
   /// as a full frame with seq == epoch — and publishes the `<path>.retain`
-  /// manifest. Crash-atomic either way: the replacement is built in
-  /// `<path>.compact`, fsynced, and renamed over the log (with a directory
-  /// fsync) — a crash at any point loses at most the compaction, never the
-  /// original log. Must not be called while a manager has the log open.
+  /// manifest. kBinomial indexes the log once and recovers every retained
+  /// epoch against that index, each opening the log at its own window, so
+  /// it reads the log once plus each window; memory stays O(largest frame)
+  /// plus one recovered state. Crash-atomic either way: the replacement is
+  /// built in `<path>.compact`, fsynced, and renamed over the log (with a
+  /// directory fsync) — a crash at any point loses at most the compaction,
+  /// never the original log. Must not be called while a manager has the
+  /// log open.
   static CompactResult compact(const std::string& path,
                                const TypeRegistry& registry,
-                               CompactOptions opts);
-
-  /// Back-compat shorthand for the kSquashAll policy.
-  static CompactResult compact(const std::string& path,
-                               const TypeRegistry& registry,
-                               io::FaultPolicy* fault = nullptr);
+                               CompactOptions opts = {});
 
  private:
   /// Handles into the installed obs::Registry, captured at construction

@@ -106,7 +106,8 @@ StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
     }
     Checkpointable* obj;
     auto it = objects_.find(oid);
-    if (it == objects_.end()) {
+    overwriting_ = it != objects_.end();
+    if (!overwriting_) {
       const TypeRegistry::Entry& entry = registry_->lookup(type);
       auto created = entry.factory(oid);
       obj = created.get();
@@ -131,11 +132,15 @@ RecoveredState Recovery::finish() {
     throw Error("Recovery::finish() is invalid in scan mode");
   if (!has_header_) throw Error("Recovery::finish() with no checkpoint applied");
   for (const Fixup& fixup : fixups_) {
+    if (fixup.id == kNullObjectId) {
+      fixup.set(nullptr);
+      continue;
+    }
     auto it = objects_.find(fixup.id);
     if (it == objects_.end())
       throw CorruptionError("dangling child reference to object " +
                             std::to_string(fixup.id));
-    fixup.set(*it->second);
+    fixup.set(it->second.get());
   }
   fixups_.clear();
 

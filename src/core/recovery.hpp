@@ -6,7 +6,9 @@
 // incremental checkpoint overwrites the local state of the objects it
 // contains (and materializes objects created since the previous checkpoint).
 // Child references, recorded as ids, are resolved in a final pass once every
-// object exists, so forward references inside a checkpoint are fine.
+// object exists, so forward references inside a checkpoint are fine. That
+// pass replays the links in stream order, so the newest record of each slot
+// wins — a link a later delta cleared stays cleared.
 #pragma once
 
 #include <functional>
@@ -125,13 +127,20 @@ class Recovery {
   void link(io::DataReader& d, T*& slot) {
     ObjectId id = d.read_varint();
     slot = nullptr;
-    if (id == kNullObjectId) return;
     if (mode_ == ApplyMode::kScan) {
-      event_children_.push_back(id);
+      if (id != kNullObjectId) event_children_.push_back(id);
       return;
     }
-    fixups_.push_back(Fixup{id, [&slot](Checkpointable& obj) {
-                              T* typed = dynamic_cast<T*>(&obj);
+    // Fixups replay in stream order, so the newest record of each slot
+    // wins. A null link needs a fixup only when this record overwrites an
+    // object restored earlier: an older record's fixup may target `slot`.
+    if (id == kNullObjectId && !overwriting_) return;
+    fixups_.push_back(Fixup{id, [&slot](Checkpointable* obj) {
+                              if (obj == nullptr) {
+                                slot = nullptr;
+                                return;
+                              }
+                              T* typed = dynamic_cast<T*>(obj);
                               if (typed == nullptr)
                                 throw TypeError(
                                     "child link resolves to object of "
@@ -150,8 +159,8 @@ class Recovery {
 
  private:
   struct Fixup {
-    ObjectId id;
-    std::function<void(Checkpointable&)> set;
+    ObjectId id;  ///< kNullObjectId: the slot is cleared
+    std::function<void(Checkpointable*)> set;
   };
 
   const TypeRegistry* registry_;
@@ -160,6 +169,9 @@ class Recovery {
   std::vector<ObjectId> event_children_;  // scan mode, current record
   std::unordered_map<ObjectId, std::unique_ptr<Checkpointable>> objects_;
   std::vector<Fixup> fixups_;
+  /// The record being restored belongs to an object an earlier record
+  /// already materialized.
+  bool overwriting_ = false;
   StreamHeader last_header_;
   bool has_header_ = false;
 };

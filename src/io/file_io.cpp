@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <thread>
 
 #include "common/error.hpp"
@@ -240,6 +242,12 @@ bool file_exists(const std::string& path) {
   if (f == nullptr) return false;
   std::fclose(f);
   return true;
+}
+
+std::uint64_t file_size(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
 void fsync_parent_dir(const std::string& path) {

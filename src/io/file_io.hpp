@@ -101,6 +101,10 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes)
 /// True if `path` exists and is openable for reading.
 [[nodiscard]] bool file_exists(const std::string& path);
 
+/// Size in bytes of the file at `path`, read from its metadata without
+/// opening it; 0 when it does not exist or cannot be examined.
+[[nodiscard]] std::uint64_t file_size(const std::string& path);
+
 /// fsync the directory containing `path`, persisting a rename/create/unlink
 /// of that entry. No-op on platforms without directory fsync.
 void fsync_parent_dir(const std::string& path);

@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <utility>
+
+#include <sys/types.h>
 
 #include "common/error.hpp"
 #include "io/crc32.hpp"
@@ -242,11 +245,24 @@ struct FrameIterator::Impl {
   }
 };
 
-FrameIterator::FrameIterator(const std::string& path, ScanOptions opts)
+FrameIterator::FrameIterator(const std::string& path, ScanOptions opts,
+                             std::uint64_t start)
     : impl_(std::make_unique<Impl>()) {
   impl_->opts = opts;
   impl_->file = std::fopen(path.c_str(), "rb");
-  if (impl_->file == nullptr) impl_->eof = true;  // missing file == empty log
+  if (impl_->file == nullptr) {
+    impl_->eof = true;  // missing file == empty log
+    return;
+  }
+  if (start == 0) return;
+  impl_->base = start;
+  impl_->valid_prefix = start;
+  // fseeko takes a 64-bit off_t, so offsets past 2 GiB seek correctly.
+  if (start > static_cast<std::uint64_t>(std::numeric_limits<off_t>::max()) ||
+      fseeko(impl_->file, static_cast<off_t>(start), SEEK_SET) != 0) {
+    impl_->record_damage("log seek error");
+    impl_->eof = true;
+  }
 }
 
 FrameIterator::FrameIterator(const std::uint8_t* data, std::size_t size,
@@ -292,20 +308,44 @@ ScanResult collect(FrameIterator& it) {
   return result;
 }
 
-/// Feed a completed scan's counters into the installed registry — the
-/// ScanResult fields stop being write-only the moment observability is on.
+/// Feed a finished scan's counters into the installed registry — the
+/// end-of-scan state stops being write-only the moment observability is on.
 /// Cold path: scans happen at open/recover/fsck time, so per-call lookups
 /// are fine (and stay correct under late registry installation).
-void publish_scan(const ScanResult& result) {
+void publish_scan(const FrameIterator& it, std::size_t frames) {
   obs::counter("ickpt_scans_total",
-               {{"result", result.clean ? "clean" : "damaged"}})
+               {{"result", it.clean() ? "clean" : "damaged"}})
       .inc();
-  obs::counter("ickpt_scan_frames_total").inc(result.frames.size());
-  if (result.regions_skipped > 0)
+  obs::counter("ickpt_scan_frames_total").inc(frames);
+  if (it.regions_skipped() > 0)
     obs::counter("ickpt_scan_corrupt_regions_total")
-        .inc(result.regions_skipped);
-  if (result.bytes_skipped > 0)
-    obs::counter("ickpt_scan_bytes_skipped_total").inc(result.bytes_skipped);
+        .inc(it.regions_skipped());
+  if (it.bytes_skipped() > 0)
+    obs::counter("ickpt_scan_bytes_skipped_total").inc(it.bytes_skipped());
+}
+
+/// What opening a log needs to know about one file, from one salvage pass
+/// that keeps no payload past its frame.
+struct OpenProbe {
+  bool clean = true;
+  /// Newest sequence number a salvage scan can read (frames come out in
+  /// strictly increasing seq order); nullopt when there is none.
+  std::optional<std::uint64_t> last_seq;
+};
+
+OpenProbe probe_for_open(const std::string& path) {
+  obs::Span span("storage.scan", "io");
+  FrameIterator it(path, {.salvage = true});
+  OpenProbe probe;
+  Frame frame;
+  std::size_t frames = 0;
+  while (it.next(frame)) {
+    probe.last_seq = frame.seq;
+    ++frames;
+  }
+  probe.clean = it.clean();
+  publish_scan(it, frames);
+  return probe;
 }
 
 }  // namespace
@@ -320,31 +360,30 @@ struct StableStorage::Impl {
 
 StableStorage::StableStorage(std::string path, StorageOptions opts)
     : path_(std::move(path)), opts_(opts), impl_(new Impl) {
-  // Never append behind an unreadable tail: truncate it back to the last
-  // salvageable frame first (the removed bytes go to <path>.bak). Mid-log
-  // corrupt regions with settled frames beyond them are preserved — every
-  // reader of this log salvages over them.
-  repair(path_);
   // Resume sequence numbering above anything a salvage scan can still see,
   // so frames beyond a corrupt region can never share a sequence number
-  // with a new frame.
-  ScanResult prefix = scan(path_, {.salvage = true});
-  if (!prefix.frames.empty()) next_seq_ = prefix.frames.back().seq + 1;
-  ScanResult salvaged = scan(path_ + ".bak", {.salvage = true});
-  if (!salvaged.frames.empty())
-    next_seq_ = std::max(next_seq_, salvaged.frames.back().seq + 1);
+  // with a new frame. Returns whether the probed file held a readable frame.
+  auto resume_above = [this](const OpenProbe& probe) {
+    if (probe.last_seq.has_value())
+      next_seq_ = std::max(next_seq_, *probe.last_seq + 1);
+    return probe.last_seq.has_value();
+  };
+  const OpenProbe live = probe_for_open(path_);
+  // Never append behind an unreadable tail: truncate it back to the last
+  // salvageable frame first (the removed bytes go to <path>.bak, and every
+  // frame the probe read stays). Mid-log corrupt regions with settled
+  // frames beyond them are preserved — every reader of this log salvages
+  // over them.
+  if (!live.clean) repair(path_);
+  resume_above(live);
+  resume_above(probe_for_open(path_ + ".bak"));
   // A crash between a rotation's quarantine rename and its rebase append
   // leaves the live log empty (or young); quarantined generations then hold
   // the highest sequence numbers, and numbering must continue above them.
   for (const std::string& gen : generation_chain(path_)) {
-    bool found = false;
-    for (const std::string& p : {gen, gen + ".bak"}) {
-      ScanResult g = scan(p, {.salvage = true});
-      if (g.frames.empty()) continue;
-      next_seq_ = std::max(next_seq_, g.frames.back().seq + 1);
-      found = true;
-    }
-    if (found) break;  // newest-first: older generations hold smaller seqs
+    const bool in_log = resume_above(probe_for_open(gen));
+    const bool in_bak = resume_above(probe_for_open(gen + ".bak"));
+    if (in_log || in_bak) break;  // newest-first: older ones hold smaller seqs
   }
   open_for_append();
 }
@@ -497,7 +536,7 @@ ScanResult StableStorage::scan(const std::string& path, ScanOptions opts) {
   obs::Span span("storage.scan", "io");
   FrameIterator it(path, opts);
   ScanResult result = collect(it);
-  publish_scan(result);
+  publish_scan(it, result.frames.size());
   return result;
 }
 
@@ -505,7 +544,7 @@ ScanResult StableStorage::scan_bytes(const std::vector<std::uint8_t>& bytes,
                                      ScanOptions opts) {
   FrameIterator it(bytes.data(), bytes.size(), opts);
   ScanResult result = collect(it);
-  publish_scan(result);
+  publish_scan(it, result.frames.size());
   return result;
 }
 

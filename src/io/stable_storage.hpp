@@ -79,7 +79,12 @@ struct ScanResult {
 class FrameIterator {
  public:
   /// Stream from a file. A missing file reads as an empty, clean log.
-  explicit FrameIterator(const std::string& path, ScanOptions opts = {});
+  /// `start` opens the log at that byte offset instead of byte 0; it must
+  /// be a frame boundary an earlier pass recorded (IndexedFrame::offset).
+  /// Bytes before it are neither read nor checked, and every frame from it
+  /// on passes the same magic, CRC and sequence tests.
+  explicit FrameIterator(const std::string& path, ScanOptions opts = {},
+                         std::uint64_t start = 0);
   /// Read from an in-memory image (not copied; must outlive the iterator).
   FrameIterator(const std::uint8_t* data, std::size_t size,
                 ScanOptions opts = {});

@@ -368,7 +368,8 @@ TEST_F(CrashMatrixTest, CrashAtEveryOffsetDuringCompact) {
     ScriptedFaultPolicy policy(FaultKind::kCrash, off);
     bool crashed = false;
     try {
-      CheckpointManager::compact(path_, registry_, &policy);
+      CheckpointManager::compact(path_, registry_,
+                                 core::CompactOptions{.fault = &policy});
     } catch (const io::CrashFault&) {
       crashed = true;
     }

@@ -137,8 +137,9 @@ TEST_F(ManagerTest, IncrementalAfterNoChangesIsTiny) {
 TEST_F(ManagerTest, RecoverStreamsInsteadOfMaterializing) {
   // Regression: recover() used to materialize every frame payload up front
   // via StableStorage::scan. It now streams — one payload-free indexing
-  // pass plus one re-streaming pass per replay attempt, so a clean log
-  // recovers in exactly two passes no matter how many windows it holds.
+  // pass plus one pass per replay attempt, opened at the window's full
+  // checkpoint, so a clean log recovers in exactly two passes no matter how
+  // many windows it holds.
   core::Heap heap;
   Leaf* leaf = heap.make<Leaf>();
   ManagerOptions opts;

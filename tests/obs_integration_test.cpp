@@ -135,9 +135,10 @@ TEST(ObsIntegration, TakeFlushRecoverCounterDeltas) {
   EXPECT_EQ(applied->counter_value, kEpochs - kFullInterval);
   EXPECT_EQ(dropped->counter_value, kFullInterval);
   EXPECT_GT(after.counter_sum("ickpt_recover_records_total"), 0u);
-  // Opening storage publishes three scans (repair pass, prefix, .bak) —
-  // all of an absent file here — and recover() adds the one that matters.
-  EXPECT_EQ(after.counter_sum("ickpt_scans_total"), 4u);
+  // Opening storage publishes two scans (one salvage pass over the log,
+  // one over its .bak) — both of an absent file here — and recover() adds
+  // the one that matters.
+  EXPECT_EQ(after.counter_sum("ickpt_scans_total"), 3u);
   EXPECT_EQ(after.counter_sum("ickpt_scan_frames_total"), kEpochs);
   // Clean log: no salvage, no faults, no retries.
   EXPECT_EQ(after.counter_sum("ickpt_recover_salvage_regions_total"), 0u);
@@ -175,9 +176,9 @@ TEST(ObsIntegration, SpanTreeShape) {
   EXPECT_EQ(count_events(events, "checkpoint.take"), 4u);
   EXPECT_EQ(count_events(events, "storage.append"), 4u);
   EXPECT_EQ(count_events(events, "checkpoint.recover"), 1u);
-  // Three scans from opening the log (repair pass, prefix, .bak) plus the
-  // one recover() runs.
-  EXPECT_EQ(count_events(events, "storage.scan"), 4u);
+  // Two scans from opening the log (the log, its .bak) plus the one
+  // recover() runs.
+  EXPECT_EQ(count_events(events, "storage.scan"), 3u);
   EXPECT_EQ(count_events(events, "recover.apply_window"), 1u);
 
   // Tree shape: each storage.append nests inside a checkpoint.take

@@ -102,6 +102,38 @@ TEST(Recovery, ObjectCreatedBetweenCheckpointsMaterializes) {
   EXPECT_EQ(state.root_as<Inner>()->left->i32, 77);
 }
 
+TEST(Recovery, DeltaThatClearsLinkSupersedesOlderRecord) {
+  // The full checkpoint links root->left; a later delta records it null.
+  // The newest record of each slot wins, so the old link must not come
+  // back, and the untouched right link must survive.
+  core::Heap heap;
+  Leaf* leaf = heap.make<Leaf>();
+  Inner* child = heap.make<Inner>();
+  Inner* root = heap.make<Inner>();
+  root->set_left(leaf);
+  root->set_right(child);
+  std::vector<core::Checkpointable*> roots{root};
+  std::vector<std::vector<std::uint8_t>> ckpts;
+  ckpts.push_back(checkpoint_bytes(roots, 0, Mode::kFull));
+  root->set_left(nullptr);
+  ckpts.push_back(checkpoint_bytes(roots, 1, Mode::kIncremental));
+
+  auto registry = make_registry();
+  {
+    RecoveredState state = recover_from(registry, ckpts);
+    EXPECT_EQ(state.root_as<Inner>()->left, nullptr);
+    ASSERT_NE(state.root_as<Inner>()->right, nullptr);
+    EXPECT_EQ(state.root_as<Inner>()->right->info().id(), child->info().id());
+  }
+
+  // Relinking in a third frame restores the leaf from the full checkpoint.
+  root->set_left(leaf);
+  ckpts.push_back(checkpoint_bytes(roots, 2, Mode::kIncremental));
+  RecoveredState state = recover_from(registry, ckpts);
+  ASSERT_NE(state.root_as<Inner>()->left, nullptr);
+  EXPECT_EQ(state.root_as<Inner>()->left->info().id(), leaf->info().id());
+}
+
 TEST(Recovery, RecoveredFlagsAreClean) {
   core::Heap heap;
   Leaf* leaf = heap.make<Leaf>();

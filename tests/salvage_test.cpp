@@ -137,6 +137,38 @@ TEST_F(SalvageTest, FrameIteratorStreamsFramesWithOffsets) {
   EXPECT_EQ(missing.valid_prefix_bytes(), 0u);
 }
 
+TEST_F(SalvageTest, FrameIteratorOpensAtRecordedOffset) {
+  {
+    StableStorage storage(path_);
+    for (std::uint8_t i = 0; i < 4; ++i) storage.append(payload_of(i));
+  }
+  // From a frame boundary: the frames from there on, at their absolute
+  // offsets, fully checked.
+  io::FrameIterator it(path_, {}, 2 * kFrameBytes);
+  io::Frame frame;
+  for (std::uint64_t i = 2; i < 4; ++i) {
+    ASSERT_TRUE(it.next(frame));
+    EXPECT_EQ(frame.seq, i);
+    EXPECT_EQ(frame.offset, i * kFrameBytes);
+    EXPECT_FALSE(frame.resync);
+    EXPECT_EQ(frame.payload, payload_of(static_cast<std::uint8_t>(i)));
+  }
+  EXPECT_FALSE(it.next(frame));
+  EXPECT_TRUE(it.clean());
+  EXPECT_EQ(it.valid_prefix_bytes(), 4 * kFrameBytes);
+
+  // Off a boundary the bytes do not parse as a frame: damage, no frames.
+  io::FrameIterator off(path_, {}, 2 * kFrameBytes + 1);
+  EXPECT_FALSE(off.next(frame));
+  EXPECT_FALSE(off.clean());
+  EXPECT_EQ(off.stop_offset(), 2 * kFrameBytes + 1);
+
+  // At or past the end there is nothing to read.
+  io::FrameIterator end(path_, {}, 4 * kFrameBytes);
+  EXPECT_FALSE(end.next(frame));
+  EXPECT_TRUE(end.clean());
+}
+
 // Regression for the pre-salvage behavior: the same damaged log recovered
 // with salvage off (old truncation semantics) and on (new), asserting both
 // counts. One corrupt incremental used to cost every later checkpoint,

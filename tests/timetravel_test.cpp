@@ -1,13 +1,14 @@
 // Epoch-history oracle for time-travel recovery.
 //
-// A randomized synthetic workload mutates an Inner-chain graph and records
-// the *entire* live state at every epoch it checkpoints. The oracle then
-// proves, state-for-state, that recover_to_epoch(N) reproduces exactly the
-// recorded snapshot for every epoch still on the log — across sync, async,
-// and parallel capture, before and after each binomial compaction, and
-// across a process restart. Epochs the retention policy dropped must fail
-// with EpochNotRetainedError naming the nearest retained neighbors — a
-// wrong-state success anywhere here is the one unforgivable outcome.
+// A randomized synthetic workload mutates and relinks an Inner-chain graph
+// and records the *entire* live state, shape included, at every epoch it
+// checkpoints. The oracle then proves, state-for-state, that
+// recover_to_epoch(N) reproduces exactly the recorded snapshot for every
+// epoch still on the log — across sync, async, and parallel capture, before
+// and after each binomial compaction, and across a process restart. Epochs
+// the retention policy dropped must fail with EpochNotRetainedError naming
+// the nearest retained neighbors — a wrong-state success anywhere here is
+// the one unforgivable outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,8 @@
 #include "core/manager.hpp"
 #include "core/retention.hpp"
 #include "io/file_io.hpp"
+#include "io/frame_index.hpp"
+#include "obs/metrics.hpp"
 #include "tests/test_types.hpp"
 #include "verify/fsck.hpp"
 
@@ -38,10 +41,14 @@ using core::TypeRegistry;
 
 constexpr std::size_t kInners = 6;
 
-/// Everything observable about the workload graph at one moment.
+/// Everything observable about the graph reachable from the root at one
+/// moment: the Inner right-chain in order, each chain Inner's leaf (or
+/// none), and every field. Ids survive recovery, so they record the shape.
 struct Snapshot {
+  std::vector<ObjectId> chain;
+  std::vector<ObjectId> lefts;  ///< kNullObjectId where the leaf is unlinked
   std::vector<std::int32_t> tags;
-  std::vector<std::int32_t> i32s;
+  std::vector<std::int32_t> i32s;  ///< linked leaves only, in chain order
   std::vector<std::int64_t> i64s;
   std::vector<double> f64s;
   std::vector<bool> flags;
@@ -49,73 +56,123 @@ struct Snapshot {
   bool operator==(const Snapshot&) const = default;
 };
 
-/// The synthetic workload: a right-chain of Inners, each holding one Leaf.
-struct Workload {
-  core::Heap heap;
-  std::vector<Inner*> inners;
-  std::vector<Leaf*> leaves;
-
-  Workload() {
-    for (std::size_t i = 0; i < kInners; ++i) {
-      Inner* inner = heap.make<Inner>();
-      Leaf* leaf = heap.make<Leaf>();
-      inner->set_left(leaf);
-      inners.push_back(inner);
-      leaves.push_back(leaf);
-      if (i > 0) inners[i - 1]->set_right(inner);
-    }
-  }
-
-  Inner* root() { return inners.front(); }
-
-  /// Mutate a random nonempty subset of the graph.
-  void mutate(std::mt19937_64& rng) {
-    bool touched = false;
-    for (std::size_t i = 0; i < kInners; ++i) {
-      if ((rng() & 3) == 0) {
-        inners[i]->set_tag(static_cast<std::int32_t>(rng() % 100000));
-        touched = true;
-      }
-      if ((rng() & 1) == 0) {
-        leaves[i]->set_i32(static_cast<std::int32_t>(rng()));
-        leaves[i]->set_i64(static_cast<std::int64_t>(rng()));
-        leaves[i]->set_f64(static_cast<double>(rng() % 100000) / 13.0);
-        leaves[i]->set_flag((rng() & 1) != 0);
-        touched = true;
-      }
-    }
-    if (!touched) leaves[0]->set_i32(static_cast<std::int32_t>(rng()));
-  }
-
-  Snapshot snap() const {
-    Snapshot s;
-    for (std::size_t i = 0; i < kInners; ++i) {
-      s.tags.push_back(inners[i]->tag);
-      s.i32s.push_back(leaves[i]->i32);
-      s.i64s.push_back(leaves[i]->i64);
-      s.f64s.push_back(leaves[i]->f64);
-      s.flags.push_back(leaves[i]->flag);
-    }
-    return s;
-  }
-};
-
-/// Snapshot a *recovered* graph by walking the Inner right-chain.
-Snapshot snap_recovered(Inner* root) {
+/// Snapshot the graph reachable from `root` by walking the Inner
+/// right-chain — the same walk for the live workload and a recovered graph.
+/// The walk stops past 2 * kInners nodes, so a recovered cycle shows up as
+/// a mismatch instead of a hang.
+Snapshot snap_chain(const Inner* root) {
   Snapshot s;
-  for (Inner* inner = root; inner != nullptr; inner = inner->right) {
+  for (const Inner* inner = root;
+       inner != nullptr && s.chain.size() <= 2 * kInners;
+       inner = inner->right) {
+    s.chain.push_back(inner->info().id());
     s.tags.push_back(inner->tag);
-    EXPECT_NE(inner->left, nullptr);
-    if (inner->left == nullptr) break;
-    s.i32s.push_back(inner->left->i32);
-    s.i64s.push_back(inner->left->i64);
-    s.f64s.push_back(inner->left->f64);
-    s.flags.push_back(inner->left->flag);
+    const Leaf* leaf = inner->left;
+    s.lefts.push_back(leaf != nullptr ? leaf->info().id() : kNullObjectId);
+    if (leaf == nullptr) continue;
+    s.i32s.push_back(leaf->i32);
+    s.i64s.push_back(leaf->i64);
+    s.f64s.push_back(leaf->f64);
+    s.flags.push_back(leaf->flag);
   }
   return s;
 }
 
+/// The synthetic workload: a right-chain of Inners, each holding one Leaf.
+/// Every step mutates fields and may reshape the graph: clear an Inner's
+/// leaf or give it a new one, unlink an Inner from the chain, or link a new
+/// one in. Unlinked objects stay garbage; every relink uses a fresh object,
+/// which is born modified and so reaches the next incremental checkpoint.
+struct Workload {
+  core::Heap heap;
+  std::vector<Inner*> chain;  ///< the Inners on the root's chain, root first
+
+  Workload() {
+    for (std::size_t i = 0; i < kInners; ++i) {
+      Inner* inner = heap.make<Inner>();
+      inner->set_left(heap.make<Leaf>());
+      if (!chain.empty()) chain.back()->set_right(inner);
+      chain.push_back(inner);
+    }
+  }
+
+  /// Carry on with a recovered graph: it stays owned by its RecoveredState,
+  /// and objects linked in from now on come from this heap.
+  explicit Workload(Inner* root) {
+    for (Inner* inner = root; inner != nullptr; inner = inner->right)
+      chain.push_back(inner);
+  }
+
+  Inner* root() { return chain.front(); }
+
+  /// Mutate a random nonempty subset of the graph, then maybe reshape it.
+  void mutate(std::mt19937_64& rng) {
+    bool touched = false;
+    for (Inner* inner : chain) {
+      if ((rng() & 3) == 0) {
+        inner->set_tag(static_cast<std::int32_t>(rng() % 100000));
+        touched = true;
+      }
+      Leaf* leaf = inner->left;
+      if (leaf != nullptr && (rng() & 1) == 0) {
+        leaf->set_i32(static_cast<std::int32_t>(rng()));
+        leaf->set_i64(static_cast<std::int64_t>(rng()));
+        leaf->set_f64(static_cast<double>(rng() % 100000) / 13.0);
+        leaf->set_flag((rng() & 1) != 0);
+        touched = true;
+      }
+    }
+    if (!touched) root()->set_tag(static_cast<std::int32_t>(rng() % 100000));
+    reshape(rng);
+  }
+
+  void reshape(std::mt19937_64& rng) {
+    for (Inner* inner : chain) {
+      if (rng() % 8 != 0) continue;
+      inner->set_left(inner->left != nullptr ? nullptr : fresh_leaf(rng));
+    }
+    if (rng() % 4 == 0 && chain.size() > 2) {
+      const std::size_t i = 1 + rng() % (chain.size() - 1);
+      chain[i - 1]->set_right(chain[i]->right);
+      chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (rng() % 4 == 0 && chain.size() < 2 * kInners) {
+      const std::size_t i = rng() % chain.size();
+      Inner* inner = heap.make<Inner>();
+      inner->set_tag(static_cast<std::int32_t>(rng() % 100000));
+      if ((rng() & 1) == 0) inner->set_left(fresh_leaf(rng));
+      inner->set_right(chain[i]->right);
+      chain[i]->set_right(inner);
+      chain.insert(chain.begin() + static_cast<std::ptrdiff_t>(i) + 1, inner);
+    }
+  }
+
+  Leaf* fresh_leaf(std::mt19937_64& rng) {
+    Leaf* leaf = heap.make<Leaf>();
+    leaf->set_i32(static_cast<std::int32_t>(rng()));
+    return leaf;
+  }
+
+  Snapshot snap() const { return snap_chain(chain.front()); }
+};
+
 using Oracle = std::map<Epoch, Snapshot>;
+
+/// [magic][seq][length][crc] ahead of every payload (io/stable_storage.hpp).
+constexpr std::size_t kFrameHeaderBytes = 20;
+
+io::FrameIndex index_of(const std::string& path) {
+  return io::index_frames(path, {.salvage = true}, core::stream_header_probe());
+}
+
+/// Installs a metrics registry for the scope of one measurement.
+struct InstalledRegistry {
+  obs::Registry registry;
+  InstalledRegistry() { obs::Registry::install(&registry); }
+  ~InstalledRegistry() { obs::Registry::install(nullptr); }
+  InstalledRegistry(const InstalledRegistry&) = delete;
+  InstalledRegistry& operator=(const InstalledRegistry&) = delete;
+};
 
 class TimeTravelTest : public ::testing::Test {
  protected:
@@ -131,6 +188,7 @@ class TimeTravelTest : public ::testing::Test {
     std::remove((path_ + ".retain").c_str());
     std::remove((path_ + ".compact").c_str());
     std::remove((path_ + ".bak").c_str());
+    std::remove((path_ + ".orig").c_str());
     for (int i = 0; i < 8; ++i)
       std::remove((path_ + ".quarantine." + std::to_string(i)).c_str());
   }
@@ -156,8 +214,53 @@ class TimeTravelTest : public ::testing::Test {
     auto result = CheckpointManager::recover_to_epoch(path_, registry_, e);
     ASSERT_EQ(result.state.epoch, e);
     ASSERT_TRUE(oracle.count(e)) << "oracle has no snapshot for epoch " << e;
-    EXPECT_EQ(snap_recovered(result.state.root_as<Inner>()), oracle.at(e))
+    EXPECT_EQ(snap_chain(result.state.root_as<Inner>()), oracle.at(e))
         << "state mismatch at epoch " << e;
+  }
+
+  /// Binomial-compact a damaged log and hold the result to a copy of the
+  /// log taken just before: the kept and dropped epochs together are
+  /// exactly the schedule's epochs present on the log, every kept epoch
+  /// recovers to what the copy gives for it (and to the oracle), and every
+  /// dropped one fails on the copy although it is present there.
+  core::CompactResult compact_against_copy(const Oracle& oracle) {
+    const std::string copy = path_ + ".orig";
+    io::write_file(copy, io::read_file(path_));
+    const std::vector<Epoch> present = index_of(path_).epochs();
+    std::vector<Epoch> scheduled;
+    for (Epoch e : RetentionPolicy::schedule(present.back()))
+      if (std::binary_search(present.begin(), present.end(), e))
+        scheduled.push_back(e);
+
+    auto compacted = CheckpointManager::compact(
+        path_, registry_, CompactOptions{CompactPolicy::kBinomial});
+    EXPECT_TRUE(std::includes(scheduled.begin(), scheduled.end(),
+                              compacted.retained.begin(),
+                              compacted.retained.end()));
+    EXPECT_EQ(compacted.retained.size() + compacted.epochs_dropped,
+              scheduled.size());
+    for (Epoch e : scheduled) {
+      if (std::binary_search(compacted.retained.begin(),
+                             compacted.retained.end(), e)) {
+        auto before = CheckpointManager::recover_to_epoch(copy, registry_, e);
+        auto after = CheckpointManager::recover_to_epoch(path_, registry_, e);
+        const Snapshot kept = snap_chain(after.state.root_as<Inner>());
+        EXPECT_EQ(kept, snap_chain(before.state.root_as<Inner>()))
+            << "epoch " << e;
+        EXPECT_EQ(kept, oracle.at(e)) << "epoch " << e;
+        continue;
+      }
+      try {
+        CheckpointManager::recover_to_epoch(copy, registry_, e);
+        ADD_FAILURE() << "dropped epoch " << e << " recovers before compaction";
+      } catch (const EpochNotRetainedError& err) {
+        ADD_FAILURE() << "scheduled epoch " << e << " was present: "
+                      << err.what();
+      } catch (const CorruptionError&) {
+      }
+    }
+    std::remove(copy.c_str());
+    return compacted;
   }
 
   std::string path_;
@@ -292,8 +395,89 @@ TEST_F(TimeTravelTest, EpochsResumeAfterCompaction) {
                              CompactOptions{CompactPolicy::kBinomial});
   CheckpointManager manager(path_, opts);
   EXPECT_EQ(manager.next_epoch(), newest + 1);
-  w.leaves[0]->set_i32(777);
+  w.root()->set_tag(777);
   EXPECT_EQ(manager.take(*w.root()).epoch, newest + 1);
+}
+
+// Compaction indexes the log once and recovers every retained epoch against
+// that index, so the scans one binomial compaction publishes do not grow
+// with the history it compacts: the same count at 24 epochs as at 200.
+TEST_F(TimeTravelTest, PolicyCompactionScansDoNotGrowWithHistory) {
+  struct Compaction {
+    std::uint64_t scans = 0;
+    std::size_t retained = 0;
+  };
+  auto compact_once = [this](unsigned epochs) {
+    clean_files();
+    Workload w;
+    ManagerOptions opts;
+    opts.full_interval = 4;
+    run_workload(w, opts, epochs, 0x71ABE010);
+    InstalledRegistry metrics;
+    auto compacted = CheckpointManager::compact(
+        path_, registry_, CompactOptions{CompactPolicy::kBinomial});
+    EXPECT_EQ(compacted.retained, RetentionPolicy::schedule(epochs - 1));
+    return Compaction{
+        metrics.registry.snapshot().counter_sum("ickpt_scans_total"),
+        compacted.retained.size()};
+  };
+  const Compaction small = compact_once(24);
+  const Compaction large = compact_once(200);
+  EXPECT_LT(small.retained, large.retained);
+  EXPECT_GT(small.scans, 0u);
+  EXPECT_EQ(small.scans, large.scans);
+}
+
+// --- compaction of a damaged log ------------------------------------------
+
+// A bit flip in epoch 21's frame (full_interval 4): salvage resyncs past
+// it, so epochs 22 and 23 sit in a segment with no full checkpoint, and
+// compaction keeps {0, 8, 16, 20} and drops those two.
+TEST_F(TimeTravelTest, PolicyCompactionOfBitFlippedLogDropsStrandedEpochs) {
+  Workload w;
+  ManagerOptions opts;
+  opts.full_interval = 4;
+  Oracle oracle = run_workload(w, opts, 24, 0x71ABE011);
+  const io::FrameIndex index = index_of(path_);
+  const io::IndexedFrame& victim =
+      index.frames.at(index.find_epoch(21).value());
+  std::vector<std::uint8_t> bytes = io::read_file(path_);
+  bytes.at(victim.offset + kFrameHeaderBytes + victim.payload_bytes / 2) ^=
+      0x40;
+  io::write_file(path_, bytes);
+
+  auto compacted = compact_against_copy(oracle);
+  EXPECT_EQ(compacted.retained, (std::vector<Epoch>{0, 8, 16, 20}));
+  EXPECT_EQ(compacted.epochs_dropped, 2u);
+}
+
+// A frame with a valid CRC whose payload is no checkpoint stream, in place
+// of epoch 17 and so inside the windows of scheduled epochs 18 and 19: no
+// window reaches either, and compaction keeps {0, 8, 12, 16}.
+TEST_F(TimeTravelTest, PolicyCompactionDropsEpochsBehindForeignFrame) {
+  Workload w;
+  ManagerOptions opts;
+  opts.full_interval = 4;
+  std::mt19937_64 rng(0x71ABE012);
+  Oracle oracle;
+  auto take_epochs = [&](int n) {
+    CheckpointManager manager(path_, opts);
+    for (int i = 0; i < n; ++i) {
+      w.mutate(rng);
+      auto take = manager.take(*w.root());
+      oracle[take.epoch] = w.snap();
+    }
+  };
+  take_epochs(17);  // epochs 0..16
+  {
+    io::StableStorage storage(path_);
+    ASSERT_EQ(storage.append(std::vector<std::uint8_t>(64, 0xEE)), 17u);
+  }
+  take_epochs(2);  // epochs 18 and 19, on top of full 16 and the frame
+
+  auto compacted = compact_against_copy(oracle);
+  EXPECT_EQ(compacted.retained, (std::vector<Epoch>{0, 8, 12, 16}));
+  EXPECT_EQ(compacted.epochs_dropped, 2u);
 }
 
 // --- restart ----------------------------------------------------------------
@@ -319,20 +503,15 @@ TEST_F(TimeTravelTest, OracleHoldsAcrossRestartAndCompaction) {
   // Second life: recover newest, mutate the recovered graph directly.
   auto recovered = CheckpointManager::recover(path_, registry_);
   Inner* root = recovered.state.root_as<Inner>();
-  ASSERT_EQ(snap_recovered(root), oracle.rbegin()->second);
+  ASSERT_EQ(snap_chain(root), oracle.rbegin()->second);
   {
     CheckpointManager manager(path_, opts);
+    Workload w(root);
     std::mt19937_64 rng2(0x71ABE008);
     for (int i = 0; i < 8; ++i) {
-      // Mutate the recovered chain the same way the workload would.
-      for (Inner* inner = root; inner != nullptr; inner = inner->right) {
-        if ((rng2() & 1) == 0)
-          inner->left->set_i32(static_cast<std::int32_t>(rng2()));
-        if ((rng2() & 3) == 0)
-          inner->set_tag(static_cast<std::int32_t>(rng2() % 100000));
-      }
-      auto take = manager.take(*root);
-      oracle[take.epoch] = snap_recovered(root);
+      w.mutate(rng2);
+      auto take = manager.take(*w.root());
+      oracle[take.epoch] = w.snap();
     }
   }
 
@@ -480,7 +659,7 @@ TEST_F(TimeTravelTest, SquashCompactionRemovesManifest) {
   EXPECT_TRUE(report.clean()) << report.to_string();
   // Newest state survives the squash.
   auto result = CheckpointManager::recover(path_, registry_);
-  EXPECT_EQ(snap_recovered(result.state.root_as<Inner>()),
+  EXPECT_EQ(snap_chain(result.state.root_as<Inner>()),
             oracle.rbegin()->second);
 }
 
