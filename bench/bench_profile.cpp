@@ -12,9 +12,10 @@
 // The harness also certifies the profiler itself: stage times are
 // attributed with a mark-based scheme whose residual (root walk) makes the
 // stages sum to the busy time by construction, so `sum(stage_ns)` must land
-// within 10% of `busy_ns` for every row — serial and sharded. `--smoke`
-// runs a reduced grid, enforces that invariant, re-parses the emitted JSON
-// with an independent parser, and exits non-zero on any violation; the test
+// within 10% of `busy_ns` for every row — serial and sharded — and every
+// row's timing must be ordered, best <= p50 <= p95. `--smoke` runs a
+// reduced grid, enforces both invariants, re-parses the emitted JSON with
+// an independent parser, and exits non-zero on any violation; the test
 // suite runs it as the `profile`-labeled smoke test.
 #include <cmath>
 #include <cstdint>
@@ -150,6 +151,15 @@ bool check_sum_invariant(const char* config, const obs::CaptureProfile& p) {
   return true;
 }
 
+/// The harness's own contract: p50/p95 are order statistics of the reps,
+/// so they can never fall below the best rep or out of order.
+bool check_order_invariant(const char* config, const TimingStats& t) {
+  if (t.best <= t.p50 && t.p50 <= t.p95) return true;
+  std::printf("FAIL %s: best %.9g s, p50 %.9g s, p95 %.9g s out of order\n",
+              config, t.best, t.p50, t.p95);
+  return false;
+}
+
 /// Re-parse the emitted report with the independent json_lite parser and
 /// check every row carries the attribution schema.
 bool check_report_json(const std::string& text, std::size_t expect_rows) {
@@ -251,6 +261,7 @@ int main(int argc, char** argv) {
                   10);
         report.add(cfg, run);
         if (!check_sum_invariant(cfg.c_str(), p)) ++failures;
+        if (!check_order_invariant(cfg.c_str(), run.stats)) ++failures;
       }
     }
   }

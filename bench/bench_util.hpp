@@ -4,26 +4,28 @@
 // one checkpoint into a CountingSink (pure construction cost, no disk — the
 // paper likewise defers the copy to stable storage). Flags are snapshotted
 // and replayed so that each engine measures the identical dirty state.
-// Each measurement records every rep into an obs::Histogram and reports
+// Each measurement keeps every rep's raw time and reports
 // best/p50/p95/max/mean — best-of sheds scheduler noise for the headline
-// number, the quantiles show how noisy the run actually was. Workload scale
-// defaults to the paper's 20,000 compound structures; set
+// number, the exact order statistics show how noisy the run actually was.
+// Workload scale defaults to the paper's 20,000 compound structures; set
 // ICKPT_BENCH_STRUCTURES to shrink it on slow machines. Benchmarks that
 // call JsonReport::add additionally write their rows to BENCH_obs.json
 // (path overridable via ICKPT_BENCH_JSON) when the process exits.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "io/byte_sink.hpp"
 #include "io/data_writer.hpp"
-#include "obs/metrics.hpp"
 #include "spec/compiler.hpp"
 #include "spec/executor.hpp"
 #include "synth/residual_dispatch.hpp"
@@ -48,10 +50,9 @@ inline int bench_reps() {
   return 5;
 }
 
-/// Distribution of one measurement's reps. best/max/mean are exact;
-/// p50/p95 are histogram quantiles (obs::Histogram, fine exponential
-/// buckets), so they carry the bucket interpolation error — good enough to
-/// see noise, not for sub-bucket comparisons.
+/// Distribution of one measurement's reps, all exact. p50/p95 are
+/// nearest-rank order statistics (the sample at rank ceil(p*n)), so each is
+/// a measured rep and best <= p50 <= p95 <= max holds by construction.
 struct TimingStats {
   double best = 0;
   double p50 = 0;
@@ -61,37 +62,34 @@ struct TimingStats {
 };
 
 /// Time `fn` over `reps` runs (+1 warmup). `prepare` restores the
-/// pre-measurement state before every run. Uses a private (uninstalled)
-/// obs::Registry, so it neither requires nor disturbs process telemetry.
+/// pre-measurement state before every run.
 inline TimingStats time_stats(const std::function<void()>& prepare,
                               const std::function<void()>& fn,
                               int reps = bench_reps()) {
   using clock = std::chrono::steady_clock;
-  obs::Registry local;
-  obs::Histogram hist = local.histogram(
-      "bench_seconds", {}, obs::Histogram::exponential_bounds(1e-7, 1.3, 96));
-  TimingStats stats;
-  stats.best = 1e100;
-  double sum = 0;
+  std::vector<double> samples;
   for (int r = 0; r <= reps; ++r) {
     prepare();
     auto t0 = clock::now();
     fn();
     auto t1 = clock::now();
-    double s = std::chrono::duration<double>(t1 - t0).count();
     if (r == 0) continue;  // run 0 is warmup
-    hist.observe(s);
-    sum += s;
-    if (s < stats.best) stats.best = s;
-    if (s > stats.max) stats.max = s;
+    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
-  if (reps > 0) stats.mean = sum / reps;
-  if (stats.best > 1e99) stats.best = 0;
-  obs::Snapshot snap = local.snapshot();
-  if (const obs::MetricSnapshot* m = snap.find("bench_seconds")) {
-    stats.p50 = m->quantile(0.5);
-    stats.p95 = m->quantile(0.95);
-  }
+  TimingStats stats;
+  if (samples.empty()) return stats;
+  std::sort(samples.begin(), samples.end());
+  auto nearest_rank = [&samples](double p) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p * static_cast<double>(samples.size())));
+    return samples[std::clamp<std::size_t>(rank, 1, samples.size()) - 1];
+  };
+  stats.best = samples.front();
+  stats.p50 = nearest_rank(0.50);
+  stats.p95 = nearest_rank(0.95);
+  stats.max = samples.back();
+  stats.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
+               static_cast<double>(samples.size());
   return stats;
 }
 

@@ -105,7 +105,6 @@ EpochNotRetainedError::EpochNotRetainedError(const std::string& path,
 
 CheckpointManager::CheckpointManager(std::string path, ManagerOptions opts)
     : opts_(std::move(opts)),
-      flightrec_(opts_.flightrec_capacity),
       storage_(std::move(path), storage_options(opts_)) {
   if (opts_.full_interval == 0)
     throw Error("ManagerOptions.full_interval must be >= 1");

@@ -78,10 +78,6 @@ struct ManagerOptions {
   /// profile rule, docs/OBSERVABILITY.md). Profiled captures additionally
   /// feed the ickpt_capture_stage_seconds{stage=...} histograms.
   bool profile = false;
-  /// Slots in the always-on epoch flight recorder (rounded up to a power of
-  /// two). The recorder itself cannot be disabled: recording one event per
-  /// epoch boundary/health transition is a handful of relaxed atomic writes.
-  std::size_t flightrec_capacity = 256;
 };
 
 struct TakeResult {
@@ -236,7 +232,8 @@ class CheckpointManager {
 
   /// The always-on epoch flight recorder: one structured event per epoch
   /// boundary, health transition, fault, retry, rotation, rebase, poison,
-  /// and reheal. Dumped automatically to flightrec_path() when the ladder
+  /// and reheal, keeping the newest 256 (FlightRecorder's default
+  /// capacity). Dumped automatically to flightrec_path() when the ladder
   /// reaches kFailed; dump it on demand with dump_flight_recorder().
   [[nodiscard]] const obs::FlightRecorder& flight_recorder() const noexcept {
     return flightrec_;

@@ -1,6 +1,7 @@
 #include "io/stable_storage.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -348,6 +349,33 @@ OpenProbe probe_for_open(const std::string& path) {
   return probe;
 }
 
+/// Copy bytes [from, to) of the file at `path` into `out` one fixed-size
+/// chunk at a time, so saving a damaged tail never holds the log in memory.
+void copy_range(const std::string& path, std::uint64_t from, std::uint64_t to,
+                FileSink& out) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, Closer> in(std::fopen(path.c_str(), "rb"));
+  if (in == nullptr ||
+      fseeko(in.get(), static_cast<off_t>(from), SEEK_SET) != 0)
+    throw IoError("open '" + path + "' at byte " + std::to_string(from) +
+                  ": " + std::strerror(errno));
+  std::uint8_t chunk[1 << 16];
+  for (std::uint64_t left = to - from; left > 0;) {
+    const std::size_t n = std::fread(
+        chunk, 1, static_cast<std::size_t>(std::min<std::uint64_t>(
+                      left, sizeof(chunk))),
+        in.get());
+    if (n == 0)
+      throw IoError("read '" + path + "': " +
+                    (std::ferror(in.get()) != 0 ? std::strerror(errno)
+                                                : "file shrank"));
+    out.write(chunk, n);
+    left -= n;
+  }
+}
+
 }  // namespace
 
 // --- StableStorage ----------------------------------------------------------
@@ -550,46 +578,50 @@ ScanResult StableStorage::scan_bytes(const std::vector<std::uint8_t>& bytes,
 
 RepairResult StableStorage::repair(const std::string& path) {
   RepairResult result;
-  ScanResult scan_result = scan(path);
-  if (scan_result.clean) {
-    result.frames_kept = scan_result.frames.size();
-    return result;
+  std::uint64_t keep = 0;
+  bool read_past_damage = false;
+  std::string first_damage;
+  {
+    // One salvage pass that keeps no payload past its frame. The iterator
+    // records only the first damage, so its stop reason is what a plain
+    // scan stops at; a frame read after that damage lies beyond it.
+    obs::Span span("storage.scan", "io");
+    FrameIterator it(path, {.salvage = true});
+    Frame frame;
+    while (it.next(frame)) {
+      ++result.frames_kept;
+      keep = frame.offset + kHeaderSize + frame.payload.size();
+      read_past_damage = read_past_damage || !it.clean();
+    }
+    publish_scan(it, result.frames_kept);
+    if (it.clean()) return result;
+    first_damage = it.stop_reason();
   }
 
   // A damaged log can hold settled frames BEYOND the first corrupt region
   // (a bit flip lands mid-log; later appends — including full checkpoints —
   // land fine after it). Truncating at the first damage would destroy them,
   // so repair only removes the genuinely unreadable tail: everything after
-  // the last frame a salvage scan can still read. Mid-log damage stays in
+  // the last frame the salvage pass can still read. Mid-log damage stays in
   // place — every reader of a repaired log (recovery, fsck, seq resume)
   // already salvages over it, and new appends land after a clean boundary.
-  ScanResult salvaged = scan(path, {/*salvage=*/true});
-  std::uint64_t keep = 0;
-  if (!salvaged.frames.empty()) {
-    const Frame& last = salvaged.frames.back();
-    keep = last.offset + kHeaderSize + last.payload.size();
-  }
-  result.frames_kept = salvaged.frames.size();
-
-  std::vector<std::uint8_t> all = read_file(path);
-  if (keep >= all.size()) {
+  const std::uint64_t size = file_size(path);
+  if (keep >= size) {
     // The file ends exactly at a valid frame boundary: the damage is all
     // mid-log, and nothing after the last readable frame needs removing.
-    result.reason =
-        scan_result.stop_reason + " (mid-log, preserved for salvage)";
+    result.reason = first_damage + " (mid-log, preserved for salvage)";
     return result;
   }
-  result.reason = salvaged.frames.size() == scan_result.frames.size()
-                      ? scan_result.stop_reason
-                      : scan_result.stop_reason + " + damaged tail";
+  result.reason =
+      read_past_damage ? first_damage + " + damaged tail" : first_damage;
 
   // Save the bytes being removed before touching the log, so a crash during
   // repair can lose the .bak (re-creatable) but never log bytes.
-  result.bytes_removed = all.size() - keep;
+  result.bytes_removed = size - keep;
   result.bak_path = path + ".bak";
   {
     FileSink bak(result.bak_path, FileSink::Mode::kTruncate);
-    bak.write(all.data() + keep, all.size() - keep);
+    copy_range(path, keep, size, bak);
     bak.durable_flush();
   }
   fsync_parent_dir(result.bak_path);

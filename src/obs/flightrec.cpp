@@ -15,12 +15,6 @@ namespace ickpt::obs {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 // Big-endian scalar helpers; the recorder serializes without depending on
 // io/ (obs must stay the bottom of the library graph).
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -79,9 +73,7 @@ constexpr std::uint8_t kMaxEventType =
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : mask_(round_up_pow2(capacity == 0 ? 1 : capacity) - 1),
-      slots_(new Slot[mask_ + 1]) {}
+FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(capacity) {}
 
 void FlightRecorder::record(FlightEventType type, std::uint64_t epoch,
                             std::uint64_t v0, std::uint64_t v1,
@@ -98,38 +90,13 @@ void FlightRecorder::record(FlightEventType type, std::uint64_t epoch,
     if (n >= FlightEvent::kDetailCap) n = FlightEvent::kDetailCap - 1;
     std::memcpy(ev.detail, detail, n);
   }
-
-  std::uint64_t words[kWords] = {};
-  std::memcpy(words, &ev, sizeof(ev));
-
-  const std::uint64_t t = ticket_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[t & mask_];
-  // Seqlock write: odd while copying, then the ticket-stamped even value.
-  slot.version.store(2 * t + 1, std::memory_order_release);
-  for (std::size_t i = 0; i < kWords; ++i)
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  slot.version.store(2 * (t + 1), std::memory_order_release);
+  ring_.push(ev);
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
-  const std::uint64_t end = ticket_.load(std::memory_order_acquire);
-  const std::uint64_t cap = mask_ + 1;
-  const std::uint64_t begin = end > cap ? end - cap : 0;
   std::vector<FlightEvent> out;
-  out.reserve(static_cast<std::size_t>(end - begin));
-  for (std::uint64_t t = begin; t < end; ++t) {
-    const Slot& slot = slots_[t & mask_];
-    const std::uint64_t want = 2 * (t + 1);
-    if (slot.version.load(std::memory_order_acquire) != want) continue;
-    std::uint64_t words[kWords];
-    for (std::size_t i = 0; i < kWords; ++i)
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
-    // Re-check: a writer that lapped us mid-copy bumped the version.
-    if (slot.version.load(std::memory_order_acquire) != want) continue;
-    FlightEvent ev;
-    std::memcpy(&ev, words, sizeof(ev));
-    out.push_back(ev);
-  }
+  out.reserve(capacity());
+  ring_.read(0, out);
   return out;
 }
 

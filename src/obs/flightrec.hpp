@@ -5,31 +5,30 @@
 // process-local: when a pipeline dies at 3am, the counters die with it. The
 // flight recorder keeps the last N *epoch-level* events (epoch begin/end
 // with a profile summary, health transitions, faults, retries, rotations,
-// rebases, poisonings, fallbacks) in a fixed ring that costs a few relaxed
-// atomic stores per event, and serializes next to the checkpoint log —
-// automatically on terminal kFailed, on demand via `ickptctl flightrec` —
-// so the last N epochs' timeline survives the process.
+// rebases, poisonings, fallbacks) in a fixed ring that costs a ticket, a
+// slot claim and a word-wise copy per event, and serializes next to the
+// checkpoint log — automatically on terminal kFailed, on demand via
+// `ickptctl flightrec` — so the last N epochs' timeline survives the
+// process.
 //
 // Concurrency: record() is lock-free and multi-producer (manager thread,
-// async-log worker, capture workers). Each slot is a seqlock — version odd
-// while a writer is mid-copy, bumped even when done — and the event payload
-// is copied word-by-word through relaxed atomics, so a torn slot is
-// *detected and skipped* by readers rather than returned, and the whole
-// protocol is clean under ThreadSanitizer. Under extreme contention two
-// writers a full ring apart can collide on one slot; the loser's event is
-// dropped (total_recorded() still counts it), never corrupted.
+// async-log worker, capture workers). The events live in an obs::EventRing
+// (event_ring.hpp), the seqlock store span tracing shares: a reader never
+// gets a torn event, and when two writers a full ring apart collide on one
+// slot, one of them drops its event (total_recorded() still counts it)
+// rather than mixing their words.
 //
-// The ring is always on: at ~128 bytes/slot and 256 slots the whole
+// The ring is always on: at ~136 bytes/slot and 256 slots the whole
 // recorder is one malloc and recording is far off the per-object hot path
 // (events are per *epoch*, not per object), so there is no off switch to
 // forget in production.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "obs/event_ring.hpp"
 
 namespace ickpt::obs {
 
@@ -87,9 +86,11 @@ class FlightRecorder {
 
   /// Events ever recorded (retained + overwritten + collided).
   [[nodiscard]] std::uint64_t total_recorded() const noexcept {
-    return ticket_.load(std::memory_order_acquire);
+    return ring_.tickets();
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
 
   /// Versioned binary image of events() (format: docs/FORMAT.md).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
@@ -118,21 +119,7 @@ class FlightRecorder {
   static const char* type_name(FlightEventType type) noexcept;
 
  private:
-  /// Seqlock slot: version is odd while a writer copies, and lands at
-  /// 2*(ticket+1) once the event for `ticket` is fully in place. The
-  /// payload travels through relaxed atomic words so readers and writers
-  /// never race on non-atomic memory.
-  static constexpr std::size_t kWords =
-      (sizeof(FlightEvent) + sizeof(std::uint64_t) - 1) /
-      sizeof(std::uint64_t);
-  struct Slot {
-    std::atomic<std::uint64_t> version{0};
-    std::atomic<std::uint64_t> words[kWords];
-  };
-
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> ticket_{0};
+  EventRing<FlightEvent> ring_;
 };
 
 }  // namespace ickpt::obs

@@ -1,25 +1,17 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 
+#include "obs/event_ring.hpp"
 #include "obs/metrics.hpp"
 
 namespace ickpt::obs {
 
 namespace {
-
-/// Silent span loss must be visible in the Prometheus export, not only via
-/// TraceCollector::dropped(). Looked up per drop: drops are exceptional by
-/// design, and rings outlive registries (they are process-lifetime
-/// thread_locals), so a cached handle here would dangle after a test-scoped
-/// registry is destroyed.
-void count_dropped(const char* reason) {
-  obs::counter("ickpt_trace_dropped_total", {{"reason", reason}}).inc();
-}
 
 void copy_capped(char* dst, std::size_t cap, const char* src) {
   if (src == nullptr) {
@@ -32,74 +24,25 @@ void copy_capped(char* dst, std::size_t cap, const char* src) {
   dst[n] = '\0';
 }
 
-/// Fixed-capacity drop-oldest ring. The owning thread pushes with try_lock
-/// (a miss means the collector holds the lock; the event is dropped, the
-/// thread never waits). The collector locks to drain.
-struct TraceRing {
-  explicit TraceRing(std::size_t capacity, std::uint32_t tid_)
-      : slots(capacity), tid(tid_) {}
+/// The process-wide span store. Leaked: a Span may end after its collector
+/// (or the static destructors) are gone, and must still have a ring to
+/// push into.
+EventRing<TraceEvent>& trace_ring() {
+  static auto* ring = new EventRing<TraceEvent>(TraceCollector::kRingCapacity);
+  return *ring;
+}
 
-  void push(const TraceEvent& ev) {
-    if (!mu.try_lock()) {
-      dropped_contended.fetch_add(1, std::memory_order_relaxed);
-      count_dropped("contended");
-      return;
-    }
-    bool overwrote = false;
-    if (size == slots.size()) {
-      // Overwrite the oldest event: head is the oldest slot when full.
-      dropped_overwritten += 1;
-      overwrote = true;
-      slots[head] = ev;
-      head = (head + 1) % slots.size();
-    } else {
-      slots[(head + size) % slots.size()] = ev;
-      size += 1;
-    }
-    mu.unlock();
-    // Metric registration takes the registry mutex; keep it off the ring
-    // lock so a draining collector is never made to wait on it.
-    if (overwrote) count_dropped("overwritten");
-  }
-
-  std::mutex mu;
-  std::vector<TraceEvent> slots;
-  std::size_t head = 0;        // oldest event when size > 0
-  std::size_t size = 0;
-  std::uint64_t dropped_overwritten = 0;  // guarded by mu
-  std::atomic<std::uint64_t> dropped_contended{0};
-  const std::uint32_t tid;
-};
-
-/// Every ring ever created, so the collector can drain threads that have
-/// since exited. Rings are shared_ptr-owned jointly by this registry and
-/// the creating thread's thread_local.
-struct RingRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  std::uint32_t next_tid = 1;
-};
-
-RingRegistry& ring_registry() {
-  static RingRegistry* reg = new RingRegistry();  // leaked: threads may
-  return *reg;                                    // outlive static dtors
+/// Stamp the thread's ordinal (small, stable for the thread's life) and
+/// store the event.
+void push(TraceEvent& ev) {
+  static std::atomic<std::uint32_t> next_tid{1};
+  thread_local const std::uint32_t tid =
+      next_tid.fetch_add(1, std::memory_order_relaxed);
+  ev.tid = tid;
+  trace_ring().push(ev);
 }
 
 std::atomic<TraceCollector*> g_collector{nullptr};
-
-TraceRing& ring_for_thread() {
-  thread_local std::shared_ptr<TraceRing> ring = [] {
-    RingRegistry& reg = ring_registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    TraceCollector* c = g_collector.load(std::memory_order_acquire);
-    const std::size_t capacity =
-        c != nullptr ? c->options().ring_capacity : 4096;
-    auto r = std::make_shared<TraceRing>(capacity, reg.next_tid++);
-    reg.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
-}
 
 std::chrono::steady_clock::time_point trace_epoch() {
   static const auto epoch = std::chrono::steady_clock::now();
@@ -142,9 +85,7 @@ std::uint64_t trace_now_ns() noexcept {
 
 // --- TraceCollector ---------------------------------------------------------
 
-TraceCollector::TraceCollector() : TraceCollector(Options{}) {}
-
-TraceCollector::TraceCollector(Options opts) : opts_(opts) {
+TraceCollector::TraceCollector() : cursor_(trace_ring().tickets()) {
   trace_epoch();  // pin the epoch before the first span
 }
 
@@ -163,36 +104,26 @@ TraceCollector* TraceCollector::installed() noexcept {
 
 std::vector<TraceEvent> TraceCollector::drain() {
   std::vector<TraceEvent> out;
-  RingRegistry& reg = ring_registry();
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    rings = reg.rings;
-  }
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    for (std::size_t i = 0; i < ring->size; ++i)
-      out.push_back(ring->slots[(ring->head + i) % ring->slots.size()]);
-    ring->head = 0;
-    ring->size = 0;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.ts_ns < b.ts_ns;
-            });
+  const std::uint64_t end = trace_ring().read(cursor_, out);
+  // Every ticket in [cursor_, end) is returned now or lost for good.
+  const std::uint64_t lost = end - cursor_ - out.size();
+  cursor_ = end;
+  dropped_ += lost;
+  // Looked up per drain, not cached: the ring outlives any registry.
+  if (lost > 0)
+    obs::counter("ickpt_trace_dropped_total", {{"reason", "overwritten"}})
+        .inc(lost);
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
   return out;
 }
 
 std::uint64_t TraceCollector::dropped() const {
-  std::uint64_t total = 0;
-  RingRegistry& reg = ring_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (const auto& ring : reg.rings) {
-    total += ring->dropped_contended.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    total += ring->dropped_overwritten;
-  }
-  return total;
+  // Tickets already behind the ring's window are lost before any drain.
+  const std::uint64_t pending = trace_ring().tickets() - cursor_;
+  return dropped_ + (pending > kRingCapacity ? pending - kRingCapacity : 0);
 }
 
 std::string TraceCollector::to_chrome_json(
@@ -244,9 +175,7 @@ Span::Span(const char* name, const char* cat) {
 Span::~Span() {
   if (!active_) return;
   ev_.dur_ns = trace_now_ns() - ev_.ts_ns;
-  TraceRing& ring = ring_for_thread();
-  ev_.tid = ring.tid;
-  ring.push(ev_);
+  push(ev_);
 }
 
 void Span::note(const std::string& text) noexcept { note(text.c_str()); }
@@ -263,9 +192,7 @@ void instant(const char* name, const char* cat, const char* note) {
   copy_capped(ev.note, TraceEvent::kNoteCap, note);
   ev.phase = 'i';
   ev.ts_ns = trace_now_ns();
-  TraceRing& ring = ring_for_thread();
-  ev.tid = ring.tid;
-  ring.push(ev);
+  push(ev);
 }
 
 void instant(const char* name, const char* cat, const std::string& note) {

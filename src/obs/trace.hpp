@@ -1,31 +1,30 @@
 // Span tracing: the time-dimension half of src/obs/.
 //
 // RAII Span objects record [start, end) intervals (and instant() records
-// point events) into a bounded per-thread ring buffer. The hot path never
-// blocks: each ring is guarded by a try_lock — if the collector happens to
-// be draining the ring at that instant the event is counted as dropped
-// instead of waiting — and a full ring overwrites its oldest event
-// (drop-oldest), so a burst of spans costs memory bounded by
-// ring_capacity * sizeof(TraceEvent) per thread, never a stall.
+// point events) into one process-wide obs::EventRing that keeps the newest
+// TraceCollector::kRingCapacity events across all threads. A push never
+// blocks: a ticket, a slot claim and a word-wise copy. Trace memory is that
+// one ring, allocated on first use and never freed (a Span may end after
+// its collector is gone), however many threads ever trace.
 //
 // Cost when disabled: a Span constructed while no TraceCollector is
 // installed is inert — one atomic load, no clock read, no ring write — so
 // instrumentation can stay compiled into the checkpoint hot paths.
 //
-// The TraceCollector drains every thread's ring (rings of exited threads
-// included: they stay registered until drained) and renders the events as
-// Chrome trace_event JSON, loadable in chrome://tracing or Perfetto.
+// A TraceCollector drains the ring from its own cursor (set at
+// construction, so it never sees events from before it existed) and
+// renders the events as Chrome trace_event JSON, loadable in
+// chrome://tracing or Perfetto.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace ickpt::obs {
 
-/// One fixed-size trace record; PODs only so ring slots never allocate.
+/// One fixed-size trace record; trivially copyable so ring slots never
+/// allocate.
 struct TraceEvent {
   static constexpr std::size_t kNameCap = 48;
   static constexpr std::size_t kCatCap = 16;
@@ -43,13 +42,10 @@ struct TraceEvent {
 
 class TraceCollector {
  public:
-  struct Options {
-    /// Events retained per thread between drains (drop-oldest beyond it).
-    std::size_t ring_capacity = 4096;
-  };
+  /// Events the process-wide ring retains between drains, across threads.
+  static constexpr std::size_t kRingCapacity = 4096;
 
   TraceCollector();
-  explicit TraceCollector(Options opts);
   ~TraceCollector();  // uninstalls itself if still installed
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
@@ -59,23 +55,27 @@ class TraceCollector {
   static void install(TraceCollector* c) noexcept;
   [[nodiscard]] static TraceCollector* installed() noexcept;
 
-  /// Collect and clear every thread's ring; events sorted by start time.
+  /// Every event recorded since the previous drain (or construction) that
+  /// the ring still holds, sorted by start time. The rest are counted in
+  /// dropped() and in ickpt_trace_dropped_total{reason="overwritten"}.
+  /// drain() and dropped() belong to one consumer thread.
   [[nodiscard]] std::vector<TraceEvent> drain();
 
-  /// Events lost so far: ring overwrites (drop-oldest) plus try_lock misses.
+  /// Events this collector has lost: recorded since its construction and
+  /// never returned by drain() because they were overwritten (or, when
+  /// writers collided on a slot, dropped).
   [[nodiscard]] std::uint64_t dropped() const;
-
-  [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
   /// Render events as a Chrome trace_event JSON document.
   static std::string to_chrome_json(const std::vector<TraceEvent>& events);
 
  private:
-  Options opts_;
+  std::uint64_t cursor_;       // first ticket the next drain() reads
+  std::uint64_t dropped_ = 0;  // lost tickets before cursor_
 };
 
 /// RAII interval: construction stamps the start, destruction stamps the end
-/// and pushes the event into this thread's ring. Inert (single atomic load)
+/// and pushes the event into the trace ring. Inert (single atomic load)
 /// when no collector is installed.
 class Span {
  public:

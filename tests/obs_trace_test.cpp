@@ -1,11 +1,13 @@
 // Span tracing: inertness without a collector, ring overflow (drop-oldest),
-// multi-thread collection, and Chrome trace_event JSON well-formedness.
+// one bounded store shared by every thread, multi-thread collection, and
+// Chrome trace_event JSON well-formedness.
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 using namespace ickpt;
@@ -61,22 +63,50 @@ TEST(ObsTrace, SpansAndInstantsRecorded) {
 }
 
 TEST(ObsTrace, RingOverflowDropsOldest) {
-  obs::TraceCollector collector({.ring_capacity = 8});
+  constexpr int kRing = static_cast<int>(obs::TraceCollector::kRingCapacity);
+  constexpr int kEmitted = kRing + 12;
+  obs::TraceCollector collector;
   ScopedCollector scoped(collector);
-  (void)collector.drain();
-  // A fresh thread gets a fresh ring sized from the installed collector
-  // (this process's main-thread ring may predate it with a larger size).
-  std::thread emitter([] {
-    for (int i = 0; i < 20; ++i)
-      obs::instant(("ev" + std::to_string(i)).c_str(), "test");
-  });
-  emitter.join();
+  for (int i = 0; i < kEmitted; ++i)
+    obs::instant(("ev" + std::to_string(i)).c_str(), "test");
   std::vector<obs::TraceEvent> events = collector.drain();
-  ASSERT_EQ(events.size(), 8u);
-  // Drop-oldest: the survivors are the newest 8, in order.
-  for (int i = 0; i < 8; ++i)
-    EXPECT_STREQ(events[i].name, ("ev" + std::to_string(12 + i)).c_str());
-  EXPECT_GE(collector.dropped(), 12u);
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kRing));
+  // Drop-oldest: the survivors are the newest kRing, in order.
+  for (int i = 0; i < kRing; ++i)
+    ASSERT_STREQ(events[i].name, ("ev" + std::to_string(12 + i)).c_str());
+  EXPECT_EQ(collector.dropped(), static_cast<std::uint64_t>(kEmitted - kRing));
+}
+
+TEST(ObsTrace, OneBoundedStoreAcrossThreads) {
+  // Many short-lived threads, no drain until they are all gone: the trace
+  // store is one ring for the process, so it returns at most its capacity
+  // and accounts for every other event as dropped — in the collector and in
+  // ickpt_trace_dropped_total alike.
+  constexpr int kThreads = 64;
+  constexpr int kSpansPerThread = 100;
+  obs::Registry registry;
+  obs::Registry::install(&registry);
+  obs::TraceCollector collector;
+  {
+    ScopedCollector scoped(collector);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([] {
+        for (int i = 0; i < kSpansPerThread; ++i)
+          obs::Span span("short", "test");
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  const std::vector<obs::TraceEvent> events = collector.drain();
+  const obs::Snapshot snap = registry.snapshot();
+  obs::Registry::install(nullptr);
+
+  EXPECT_LE(events.size(), obs::TraceCollector::kRingCapacity);
+  EXPECT_EQ(events.size() + collector.dropped(),
+            static_cast<std::uint64_t>(kThreads) * kSpansPerThread);
+  EXPECT_EQ(snap.counter_sum("ickpt_trace_dropped_total"),
+            collector.dropped());
 }
 
 TEST(ObsTrace, CollectsAcrossThreadsWithDistinctTids) {

@@ -259,6 +259,34 @@ TEST_F(SalvageTest, RepairTruncatesTornTailAndFsckGoesClean) {
   EXPECT_EQ(result.state.root_as<Leaf>()->i32, 12);
 }
 
+TEST_F(SalvageTest, RepairSavesATornTailSpanningManyCopyChunks) {
+  // repair() copies the removed tail to .bak in fixed-size chunks; a torn
+  // frame of a few hundred KiB spans many of them and must land byte for
+  // byte. (Consecutive payload bytes differ by 7, so no magic resync hides
+  // inside the torn payload.)
+  {
+    StableStorage storage(path_);
+    storage.append(payload_of(1));
+    std::vector<std::uint8_t> big(300000);
+    for (std::size_t i = 0; i < big.size(); ++i)
+      big[i] = static_cast<std::uint8_t>(i * 7);
+    storage.append(big);
+  }
+  auto bytes = io::read_file(path_);
+  bytes.pop_back();  // tear the big frame
+  io::write_file(path_, bytes);
+
+  auto repaired = StableStorage::repair(path_);
+  EXPECT_TRUE(repaired.repaired);
+  EXPECT_EQ(repaired.frames_kept, 1u);
+  EXPECT_EQ(repaired.reason, "torn frame payload");
+  EXPECT_EQ(repaired.bytes_removed, bytes.size() - kFrameBytes);
+  EXPECT_EQ(io::read_file(repaired.bak_path),
+            std::vector<std::uint8_t>(bytes.begin() + kFrameBytes,
+                                      bytes.end()));
+  EXPECT_EQ(io::file_size(path_), kFrameBytes);
+}
+
 TEST_F(SalvageTest, RepairOnCleanLogIsNoOp) {
   auto size_before = [&] {
     build_manager_log(/*full_interval=*/4, /*n=*/3);

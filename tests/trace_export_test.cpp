@@ -183,19 +183,15 @@ TEST(TraceExportTest, ConcurrentSpansPairAndNestPerThread) {
 }
 
 TEST(TraceExportTest, RingDropsSurfaceAsTheDropMetric) {
-  // An 8-slot ring and many more spans than that: the overflow must be
-  // counted both by the collector and by ickpt_trace_dropped_total, and the
-  // two views must agree.
+  // Many more spans than the trace ring holds: the overflow must be counted
+  // both by the collector and by ickpt_trace_dropped_total, and the two
+  // views must agree.
   obs::Registry registry;
   obs::Registry::install(&registry);
-  TraceCollector::Options opts;
-  opts.ring_capacity = 8;
-  TraceCollector collector(opts);
+  TraceCollector collector;
   TraceCollector::install(&collector);
-  constexpr int kSpans = 100;
-  // Burst from a fresh thread: a thread's ring is sized by the collector
-  // installed at its first span, and this process's main thread already has
-  // a full-size ring from the earlier tests.
+  constexpr std::size_t kRing = TraceCollector::kRingCapacity;
+  constexpr int kSpans = static_cast<int>(kRing) + 100;
   std::thread burst([] {
     for (int i = 0; i < kSpans; ++i) {
       Span span("burst", "test");
@@ -208,8 +204,8 @@ TEST(TraceExportTest, RingDropsSurfaceAsTheDropMetric) {
   obs::Snapshot snap = registry.snapshot();
   obs::Registry::install(nullptr);
 
-  EXPECT_EQ(events.size(), 8u);
-  EXPECT_EQ(dropped, static_cast<std::uint64_t>(kSpans) - 8u);
+  EXPECT_EQ(events.size(), kRing);
+  EXPECT_EQ(dropped, static_cast<std::uint64_t>(kSpans) - kRing);
   EXPECT_EQ(snap.counter_sum("ickpt_trace_dropped_total"), dropped);
   const obs::MetricSnapshot* overwritten = snap.find(
       "ickpt_trace_dropped_total", {{"reason", "overwritten"}});
