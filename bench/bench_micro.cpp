@@ -47,7 +47,15 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16);
+// 63 B never reaches the folded kernel; 4 KiB is an analysis frame; 32 MiB
+// (a synth full frame) runs far past L2.
+BENCHMARK(BM_Crc32)
+    ->Arg(63)
+    ->Arg(1 << 10)
+    ->Arg(4 << 10)
+    ->Arg(1 << 16)
+    ->Arg(1 << 20)
+    ->Arg(32 << 20);
 
 void BM_SetModified(benchmark::State& state) {
   core::CheckpointInfo info;

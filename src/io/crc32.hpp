@@ -2,6 +2,13 @@
 //
 // Protects every stable-storage frame so recovery can distinguish a torn
 // final write from a complete checkpoint (DESIGN.md §6, storage invariant).
+//
+// update() picks its kernel once per process. On x86-64 CPUs with PCLMULQDQ
+// and SSE4.1, an input of 64 bytes or more is folded 64 bytes at a time by
+// carry-less multiplication, and the bytewise table loop finishes its last
+// 0-15 bytes. Shorter inputs, other CPUs and other architectures run the
+// bytewise loop alone. Both compute the same polynomial, so every value,
+// and every CRC stored in a log, is unchanged.
 #pragma once
 
 #include <cstddef>

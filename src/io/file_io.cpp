@@ -275,10 +275,10 @@ void truncate_file(const std::string& path, std::uint64_t size) {
   if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0)
     fail("truncate", path);
   int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0) fail("open", path);
+  int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) fail("fsync", path);
 #else
   auto bytes = read_file(path);
   if (size > bytes.size()) fail("truncate beyond end", path);

@@ -4,11 +4,11 @@
 // written by the core stream encoder inside the payload. Time-travel
 // recovery and fsck's retention audit both need to answer "which epochs are
 // on this log, and where" without materializing any payload — so this scan
-// streams every frame (salvage-aware, O(largest frame) memory) and asks a
-// caller-supplied HeaderProbe to read the epoch/mode out of each payload's
-// first bytes. The probe keeps the layering honest: io stays ignorant of
-// the checkpoint stream format, core (which owns peek_header) supplies the
-// few lines that understand it.
+// streams every frame (salvage-aware; one buffer of the largest frame plus
+// FrameIterator's fixed window) and asks a caller-supplied HeaderProbe to
+// read the epoch/mode out of each payload's first bytes. The probe keeps
+// the layering honest: io stays ignorant of the checkpoint stream format,
+// core (which owns peek_header) supplies the few lines that understand it.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +69,9 @@ struct FrameIndex {
 };
 
 /// Stream the log at `path` into an index. A missing file indexes as an
-/// empty, clean log. Payloads are probed and discarded — memory stays
-/// O(largest frame) plus the index itself.
+/// empty, clean log. Payloads are probed and discarded — memory stays one
+/// buffer of the largest frame plus FrameIterator's fixed window, plus the
+/// index itself.
 FrameIndex index_frames(const std::string& path, ScanOptions opts,
                         const HeaderProbe& probe);
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <utility>
 
+#include <sys/stat.h>
 #include <sys/types.h>
 
 #include "common/error.hpp"
@@ -22,6 +23,8 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x49434B46;  // "ICKF"
 constexpr std::size_t kHeaderSize = 4 + 8 + 4 + 4;
+// FrameIterator's read window, whatever the frame size: two 64 KiB chunks.
+constexpr std::size_t kWindow = 2 * (1u << 16);
 // Backstop against absurd lengths from corrupt headers.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 // Big-endian byte pattern of kMagic, for salvage resynchronization.
@@ -65,10 +68,15 @@ struct FrameIterator::Impl {
   std::size_t mem_pos = 0;
   bool eof = false;
 
-  // Sliding window of unconsumed bytes. buf[head] is at file offset
-  // `base + head`; the window never exceeds one frame plus refill chunk.
-  std::vector<std::uint8_t> buf;
+  // Fixed window of input bytes: [head, end) is unconsumed, buf[head] is at
+  // input offset `base + head`, and the next unread input byte is at
+  // `base + end`. Headers are parsed in place. A payload's bytes in the
+  // window are copied into Frame::payload, and the rest of a payload that
+  // runs past the window are read straight into it.
+  const std::unique_ptr<std::uint8_t[]> buf =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kWindow);
   std::size_t head = 0;
+  std::size_t end = 0;
   std::uint64_t base = 0;
 
   // Parse state.
@@ -90,40 +98,97 @@ struct FrameIterator::Impl {
   }
 
   [[nodiscard]] std::uint64_t offset() const { return base + head; }
-  [[nodiscard]] std::size_t available() const { return buf.size() - head; }
+  [[nodiscard]] std::size_t available() const { return end - head; }
 
   void consume(std::size_t n) { head += n; }
 
+  /// Bytes of input past the window. A file is measured now, not at open,
+  /// so a log that grew since reads exactly as a chunked read would see it.
+  [[nodiscard]] std::uint64_t unread() const {
+    if (file == nullptr) return mem_size - mem_pos;
+    struct stat st {};
+    if (::fstat(::fileno(file), &st) != 0) return 0;
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    return size > base + end ? size - (base + end) : 0;
+  }
+
+  /// Read up to `n` input bytes into `dst`; fewer means end of input or a
+  /// read error (recorded as damage, and no further reads).
+  std::size_t read_input(std::uint8_t* dst, std::size_t n) {
+    if (file == nullptr) {
+      n = std::min(n, mem_size - mem_pos);
+      if (n > 0) std::memcpy(dst, mem + mem_pos, n);
+      mem_pos += n;
+      return n;
+    }
+    const std::size_t got = std::fread(dst, 1, n, file);
+    if (got < n && std::ferror(file) != 0) {
+      // A read error mid-scan is damage, not a crash: report it as the
+      // stop reason rather than throwing out of an integrity pass.
+      record_damage("log read error");
+      eof = true;
+    }
+    return got;
+  }
+
+  /// Make at least `want` (<= one header) bytes available unless the input
+  /// ends first. Only the few unconsumed bytes move to the window's front.
   void fill(std::size_t want) {
-    if (eof || available() >= want) return;
-    if (head > (1u << 20)) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(head));
+    if (available() >= want) return;
+    if (head > 0) {
+      std::memmove(buf.get(), buf.get() + head, available());
       base += head;
+      end -= head;
       head = 0;
     }
     while (!eof && available() < want) {
-      if (file != nullptr) {
-        std::uint8_t tmp[1 << 16];
-        std::size_t n = std::fread(tmp, 1, sizeof(tmp), file);
-        if (n == 0) {
-          // A read error mid-scan is damage, not a crash: report it as the
-          // stop reason rather than throwing out of an integrity pass.
-          if (std::ferror(file) != 0) record_damage("log read error");
-          eof = true;
-        } else {
-          buf.insert(buf.end(), tmp, tmp + n);
-        }
-      } else {
-        std::size_t n = mem_size - mem_pos;
-        if (n > (1u << 16)) n = 1u << 16;
-        if (n == 0) {
-          eof = true;
-        } else {
-          buf.insert(buf.end(), mem + mem_pos, mem + mem_pos + n);
-          mem_pos += n;
-        }
-      }
+      const std::size_t n = read_input(buf.get() + end, kWindow - end);
+      if (n == 0) eof = true;
+      end += n;
     }
+  }
+
+  /// Empty the window and continue the input at offset `at`. A failed seek
+  /// is damage and ends the input.
+  void reposition(std::uint64_t at) {
+    base = at;
+    head = end = 0;
+    if (file == nullptr) {
+      mem_pos = static_cast<std::size_t>(at);
+    } else if (std::ferror(file) != 0) {
+      return;  // a read error already ended the input
+    } else if (fseeko(file, static_cast<off_t>(at), SEEK_SET) != 0) {
+      record_damage("log seek error");
+      eof = true;
+      return;
+    }
+    eof = false;
+  }
+
+  /// Read the `len`-byte payload of the frame whose header is at `head`
+  /// into `payload`: bytes already in the window are copied, the rest are
+  /// read straight into it. Returns false, sizing nothing, when the input
+  /// ends before the payload does. Sets `past_window` once input past the
+  /// window has been read, so the window no longer follows the frame.
+  bool read_payload(std::uint32_t len, std::vector<std::uint8_t>& payload,
+                    bool& past_window) {
+    const std::uint8_t* in_window = buf.get() + head + kHeaderSize;
+    const std::size_t have = available() - kHeaderSize;
+    if (len <= have) {
+      payload.assign(in_window, in_window + len);
+      return true;
+    }
+    if (len - have > unread()) return false;
+    if (payload.capacity() < len) {
+      // Free the old buffer first and reserve exactly: growing by doubling
+      // would hold up to twice the largest frame.
+      payload = std::vector<std::uint8_t>();
+      payload.reserve(len);
+    }
+    payload.resize(len);
+    std::memcpy(payload.data(), in_window, have);
+    past_window = true;
+    return read_input(payload.data() + have, len - have) == len - have;
   }
 
   void record_damage(const char* why) {
@@ -137,6 +202,8 @@ struct FrameIterator::Impl {
   /// magic sequence (or end of input). Skipped bytes accumulate into
   /// pending_skip.
   void seek_next_magic() {
+    fill(1);  // a repositioned window starts empty
+    if (available() == 0) return;
     pending_skip += 1;
     consume(1);
     for (;;) {
@@ -146,11 +213,11 @@ struct FrameIterator::Impl {
         consume(available());
         return;
       }
-      const std::uint8_t* begin = buf.data() + head;
-      const std::uint8_t* end = buf.data() + buf.size();
+      const std::uint8_t* begin = buf.get() + head;
+      const std::uint8_t* stop = buf.get() + end;
       const std::uint8_t* hit = std::search(
-          begin, end, std::begin(kMagicBytes), std::end(kMagicBytes));
-      if (hit != end) {
+          begin, stop, std::begin(kMagicBytes), std::end(kMagicBytes));
+      if (hit != stop) {
         pending_skip += static_cast<std::uint64_t>(hit - begin);
         consume(static_cast<std::size_t>(hit - begin));
         return;
@@ -186,12 +253,13 @@ struct FrameIterator::Impl {
         return false;
       }
       const char* why = nullptr;
+      bool past_window = false;
       std::uint64_t seq = 0;
       std::uint32_t len = 0;
       if (available() < kHeaderSize) {
         why = "torn frame header";
       } else {
-        const std::uint8_t* p = buf.data() + head;
+        const std::uint8_t* p = buf.get() + head;
         if (get_u32(p) != kMagic) {
           why = "bad frame magic";
         } else {
@@ -199,30 +267,25 @@ struct FrameIterator::Impl {
           len = get_u32(p + 12);
           if (len > kMaxPayload) {
             why = "implausible frame length";
+          } else if (!read_payload(len, out.payload, past_window)) {
+            why = "torn frame payload";
           } else {
-            fill(kHeaderSize + len);
-            if (available() < kHeaderSize + len) {
-              why = "torn frame payload";
-            } else {
-              p = buf.data() + head;  // fill() may have reallocated
-              Crc32 check;
-              check.update(p + 4, 12);  // seq + length
-              check.update(p + kHeaderSize, len);
-              if (check.value() != get_u32(p + 16)) {
-                why = "frame CRC mismatch";
-              } else if (!first_frame && seq <= prev_seq) {
-                why = "non-increasing sequence number";
-              }
+            Crc32 check;
+            check.update(p + 4, 12);  // seq + length
+            check.update(out.payload.data(), len);
+            if (check.value() != get_u32(p + 16)) {
+              why = "frame CRC mismatch";
+            } else if (!first_frame && seq <= prev_seq) {
+              why = "non-increasing sequence number";
             }
           }
         }
       }
 
+      const std::uint64_t at = offset();
       if (why == nullptr) {
-        const std::uint8_t* p = buf.data() + head;
         out.seq = seq;
-        out.offset = offset();
-        out.payload.assign(p + kHeaderSize, p + kHeaderSize + len);
+        out.offset = at;
         out.resync = pending_skip > 0;
         if (pending_skip > 0) {
           ++regions_skipped;
@@ -231,7 +294,12 @@ struct FrameIterator::Impl {
         }
         first_frame = false;
         prev_seq = seq;
-        consume(kHeaderSize + len);
+        if (past_window) {
+          base = at + kHeaderSize + len;
+          head = end = 0;
+        } else {
+          consume(kHeaderSize + len);
+        }
         if (!damaged) valid_prefix = offset();
         return true;
       }
@@ -241,6 +309,9 @@ struct FrameIterator::Impl {
         done = true;
         return false;
       }
+      // Salvage resumes one byte past the frame's start; the window no
+      // longer holds that byte once the payload was read past it.
+      if (past_window) reposition(at);
       seek_next_magic();
     }
   }
@@ -255,6 +326,9 @@ FrameIterator::FrameIterator(const std::string& path, ScanOptions opts,
     impl_->eof = true;  // missing file == empty log
     return;
   }
+  // Reads land in the window or the payload directly, never via stdio's
+  // own buffer.
+  std::setvbuf(impl_->file, nullptr, _IONBF, 0);
   if (start == 0) return;
   impl_->base = start;
   impl_->valid_prefix = start;

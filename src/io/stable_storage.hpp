@@ -72,10 +72,13 @@ struct ScanResult {
   std::uint64_t bytes_skipped = 0;
 };
 
-/// Streaming frame reader: O(largest frame) memory regardless of log size.
-/// Drive with next() until it returns false, then read the end-of-scan
-/// state (clean()/stop_reason()/...). scan()/scan_bytes() are thin wrappers
-/// that collect every frame into a ScanResult.
+/// Streaming frame reader. Memory is one payload buffer, sized to the
+/// largest frame read (the caller's Frame::payload, reused across next()),
+/// plus a fixed 128 KiB window, whatever the log or frame size. A payload
+/// is never sized past the bytes left in the input, so a corrupt length
+/// costs no memory. Drive with next() until it returns false, then read the
+/// end-of-scan state (clean()/stop_reason()/...). scan()/scan_bytes() are
+/// thin wrappers that collect every frame into a ScanResult.
 class FrameIterator {
  public:
   /// Stream from a file. A missing file reads as an empty, clean log.
@@ -94,7 +97,7 @@ class FrameIterator {
   FrameIterator& operator=(const FrameIterator&) = delete;
 
   /// Produce the next frame into `out` (reusing its payload buffer).
-  /// Returns false at end of log.
+  /// Returns false at end of log; `out.payload` is unspecified then.
   bool next(Frame& out);
 
   // End-of-scan state; meaningful once next() has returned false.
@@ -224,8 +227,9 @@ class StableStorage {
   static std::vector<std::string> generation_chain(const std::string& path);
 
   /// Scan a log file into frames, tolerating a torn tail (and, with
-  /// opts.salvage, mid-log corruption). Streams: O(largest frame) memory
-  /// plus the collected frames.
+  /// opts.salvage, mid-log corruption). Streams through a FrameIterator:
+  /// one buffer of the largest frame and a fixed window, plus the collected
+  /// frames.
   static ScanResult scan(const std::string& path, ScanOptions opts = {});
 
   /// Scan an in-memory image of a log (used by fault-injection tests).

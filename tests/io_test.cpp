@@ -2,6 +2,11 @@
 // boundary behaviour, varints, CRC-32 vectors, and file sinks.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <random>
@@ -189,6 +194,17 @@ TEST(DataReader, RemainingTracksConsumption) {
   EXPECT_TRUE(r.at_end());
 }
 
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): shares no code or table
+/// with Crc32, so it checks both the folded kernel and the bytewise loop.
+std::uint32_t reference_crc(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
 TEST(Crc32, KnownVectors) {
   // "123456789" -> 0xCBF43926 (standard CRC-32 check value).
   const char* check = "123456789";
@@ -197,18 +213,50 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(Crc32::compute(nullptr, 0), 0x00000000u);
 }
 
-TEST(Crc32, IncrementalMatchesOneShot) {
-  std::mt19937 rng(7);
-  std::vector<std::uint8_t> data(4096);
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths cross every path: bytewise only (< 64), one 64-byte block plus
+  // 16-byte steps and a tail, and many blocks; start offsets 0-15 make the
+  // kernel's 16-byte loads unaligned.
+  std::mt19937 rng(11);
+  std::vector<std::uint8_t> data(1100 + 16);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t start = 0; start < 16; ++start)
+    for (std::size_t n = 0; n <= 1100; ++n)
+      ASSERT_EQ(Crc32::compute(data.data() + start, n),
+                reference_crc(data.data() + start, n))
+          << "start " << start << ", length " << n;
+}
+
+TEST(Crc32, IncrementalMatchesOneShot) {
+  // 1 MiB fed in pieces that split 64-byte blocks anywhere: pieces under
+  // 64 bytes (bytewise only), a few hundred bytes, and tens of KiB.
+  std::mt19937 rng(7);
+  std::vector<std::uint8_t> data(1u << 20);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = reference_crc(data.data(), data.size());
+  EXPECT_EQ(Crc32::compute(data.data(), data.size()), whole);
   Crc32 crc;
   std::size_t off = 0;
   while (off < data.size()) {
-    std::size_t n = std::min<std::size_t>(rng() % 257, data.size() - off);
+    const std::size_t limit[] = {64, 1000, 70000};
+    std::size_t n = std::min<std::size_t>(rng() % limit[rng() % 3],
+                                          data.size() - off);
     crc.update(data.data() + off, n);
     off += n;
   }
-  EXPECT_EQ(crc.value(), Crc32::compute(data.data(), data.size()));
+  EXPECT_EQ(crc.value(), whole);
+}
+
+TEST(Crc32, FormatPin) {
+  // Every log, .bak file and fsck verdict on disk depends on this value: a
+  // wrong fold constant must fail here, not orphan existing logs.
+  std::vector<std::uint8_t> data(4u << 20);
+  std::uint64_t x = 1;
+  for (auto& b : data) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(x >> 56);
+  }
+  EXPECT_EQ(Crc32::compute(data.data(), data.size()), 0x467FC2ECu);
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
@@ -264,6 +312,35 @@ TEST(FileIo, AppendMode) {
 
 TEST(FileIo, MissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/ickpt/nope.bin"), IoError);
+}
+
+TEST(FileIo, TruncateFileShrinksTheFile) {
+  const std::string path = ::testing::TempDir() + "/ickpt_truncate.bin";
+  write_file(path, std::vector<std::uint8_t>(10, 0x5A));
+  truncate_file(path, 4);
+  EXPECT_EQ(read_file(path), std::vector<std::uint8_t>(4, 0x5A));
+  std::remove(path.c_str());
+  EXPECT_THROW(truncate_file(path, 0), IoError);
+}
+
+TEST(FileIo, TruncateFileThrowsWhenTheCutCannotBeSynced) {
+  // repair() promises a durable truncation, so a failure to open the file
+  // for its fsync is an error naming the path, not a silent success.
+  const std::string path = ::testing::TempDir() + "/ickpt_truncate_wo.bin";
+  write_file(path, std::vector<std::uint8_t>(10, 0x5A));
+  ASSERT_EQ(::chmod(path.c_str(), S_IWUSR), 0);  // truncatable, not readable
+  if (const int fd = ::open(path.c_str(), O_RDONLY); fd >= 0) {
+    ::close(fd);
+    std::remove(path.c_str());
+    GTEST_SKIP() << "this process may read a write-only file (root)";
+  }
+  try {
+    truncate_file(path, 4);
+    ADD_FAILURE() << "truncate_file must report the failed open";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
