@@ -13,7 +13,7 @@
 // attributed with a mark-based scheme whose residual (root walk) makes the
 // stages sum to the busy time by construction, so `sum(stage_ns)` must land
 // within 10% of `busy_ns` for every row — serial and sharded — and every
-// row's timing must be ordered, best <= p50 <= p95. `--smoke` runs a
+// row's timing must be ordered, best <= p50 <= p95 <= max. `--smoke` runs a
 // reduced grid, enforces both invariants, re-parses the emitted JSON with
 // an independent parser, and exits non-zero on any violation; the test
 // suite runs it as the `profile`-labeled smoke test.
@@ -76,60 +76,29 @@ std::string fmt_pct(std::uint64_t part, std::uint64_t whole) {
   return buf;
 }
 
-/// BENCH_profile.json rows carry the raw attribution, so the fixed-schema
-/// JsonReport does not fit; this emitter writes the same array-of-objects
-/// shape with per-stage fields.
-class ProfileReport {
- public:
-  void add(const std::string& config, const ProfiledRun& run) {
-    using P = obs::CaptureProfile;
-    const P& p = run.profile;
-    std::string row = "  {\"bench\": \"profile\", \"config\": \"" + config +
-                      "\"";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  ", \"best_s\": %.9g, \"p50_s\": %.9g, \"p95_s\": %.9g, "
-                  "\"bytes\": %zu",
-                  run.stats.best, run.stats.p50, run.stats.p95, run.bytes);
-    row += buf;
-    auto u64 = [&row, &buf](const char* key, std::uint64_t v) {
-      std::snprintf(buf, sizeof(buf), ", \"%s\": %llu", key,
-                    (unsigned long long)v);
-      row += buf;
-    };
-    for (int s = 0; s < P::kStageCount; ++s)
-      u64((std::string(P::stage_name(static_cast<P::Stage>(s))) + "_ns")
-              .c_str(),
-          p.stage_ns[s]);
-    u64("busy_ns", p.busy_ns);
-    u64("stage_sum_ns", p.stage_total_ns());
-    u64("objects", p.objects);
-    u64("records", p.records);
-    u64("shards", p.shards);
-    u64("visited_probes", p.visited_probes);
-    u64("claim_cas_retries", p.claim_cas_retries);
-    u64("steal_attempts", p.steal_attempts);
-    u64("steal_failures", p.steal_failures);
-    u64("shard_sink_bytes", p.shard_sink_bytes);
-    u64("direct_stream_bytes", p.direct_stream_bytes);
-    u64("merge_buffered_peak_bytes", p.merge_buffered_peak_bytes);
-    row += "}";
-    rows_.push_back(row);
-  }
-
-  [[nodiscard]] std::string render() const {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      out += rows_[i] + (i + 1 < rows_.size() ? ",\n" : "\n");
-    out += "]\n";
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const { return rows_.size(); }
-
- private:
-  std::vector<std::string> rows_;
-};
+/// The raw attribution BENCH_profile.json carries next to each row's timing.
+JsonReport::Fields attribution(const obs::CaptureProfile& p) {
+  using P = obs::CaptureProfile;
+  JsonReport::Fields fields;
+  for (int s = 0; s < P::kStageCount; ++s)
+    fields.emplace_back(
+        std::string(P::stage_name(static_cast<P::Stage>(s))) + "_ns",
+        p.stage_ns[s]);
+  fields.insert(fields.end(),
+                {{"busy_ns", p.busy_ns},
+                 {"stage_sum_ns", p.stage_total_ns()},
+                 {"objects", p.objects},
+                 {"records", p.records},
+                 {"shards", p.shards},
+                 {"visited_probes", p.visited_probes},
+                 {"claim_cas_retries", p.claim_cas_retries},
+                 {"steal_attempts", p.steal_attempts},
+                 {"steal_failures", p.steal_failures},
+                 {"shard_sink_bytes", p.shard_sink_bytes},
+                 {"direct_stream_bytes", p.direct_stream_bytes},
+                 {"merge_buffered_peak_bytes", p.merge_buffered_peak_bytes}});
+  return fields;
+}
 
 /// The profiler's core contract: the mark-based attribution makes the
 /// stages account for the busy time. 10% slack absorbs clock-read overhead
@@ -152,11 +121,13 @@ bool check_sum_invariant(const char* config, const obs::CaptureProfile& p) {
 }
 
 /// The harness's own contract: p50/p95 are order statistics of the reps,
-/// so they can never fall below the best rep or out of order.
+/// so they can never fall below the best rep, above the worst, or out of
+/// order.
 bool check_order_invariant(const char* config, const TimingStats& t) {
-  if (t.best <= t.p50 && t.p50 <= t.p95) return true;
-  std::printf("FAIL %s: best %.9g s, p50 %.9g s, p95 %.9g s out of order\n",
-              config, t.best, t.p50, t.p95);
+  if (t.best <= t.p50 && t.p50 <= t.p95 && t.p95 <= t.max) return true;
+  std::printf("FAIL %s: best %.9g s, p50 %.9g s, p95 %.9g s, max %.9g s out "
+              "of order\n",
+              config, t.best, t.p50, t.p95, t.max);
   return false;
 }
 
@@ -207,7 +178,7 @@ int main(int argc, char** argv) {
              "claim", "merge", "mwait", "sum/busy", "casretry"},
             10);
 
-  ProfileReport report;
+  JsonReport& report = JsonReport::instance();
   int failures = 0;
   const std::vector<unsigned> thread_counts =
       smoke ? std::vector<unsigned>{2} : std::vector<unsigned>{2, 4, 8};
@@ -259,24 +230,19 @@ int main(int argc, char** argv) {
                    fmt_pct(p.stage_ns[P::kMergeWait], p.busy_ns), ratio,
                    std::to_string(p.claim_cas_retries)},
                   10);
-        report.add(cfg, run);
+        report.add("profile", cfg, run.stats, run.bytes,
+                   attribution(run.profile));
         if (!check_sum_invariant(cfg.c_str(), p)) ++failures;
         if (!check_order_invariant(cfg.c_str(), run.stats)) ++failures;
       }
     }
   }
 
-  const std::string text = report.render();
-  const char* path = std::getenv("ICKPT_BENCH_JSON");
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %zu row(s) to %s\n", report.size(), path);
-  } else {
-    std::printf("FAIL could not write %s\n", path);
+  if (!report.write()) {
+    std::printf("FAIL could not write %s\n", std::getenv("ICKPT_BENCH_JSON"));
     ++failures;
   }
-  if (!check_report_json(text, report.size())) ++failures;
+  if (!check_report_json(report.render(), report.size())) ++failures;
 
   if (smoke)
     std::printf("smoke: %zu row(s), %d failure(s)\n", report.size(),

@@ -16,11 +16,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -163,10 +165,14 @@ inline Measured measure_residual(synth::SynthWorkload& workload,
 // --- machine-readable report -------------------------------------------------
 
 /// Accumulates benchmark rows and writes them as a JSON array to
-/// BENCH_obs.json (or $ICKPT_BENCH_JSON) when the process exits. One
-/// instance per process; benchmarks just call JsonReport::add.
+/// BENCH_obs.json (or $ICKPT_BENCH_JSON) when the process exits, unless
+/// write() already did. One instance per process; benchmarks just call
+/// JsonReport::add.
 class JsonReport {
  public:
+  /// Extra named numeric columns appended to a row, in order.
+  using Fields = std::vector<std::pair<std::string, std::uint64_t>>;
+
   static JsonReport& instance() {
     static JsonReport report;
     return report;
@@ -175,33 +181,62 @@ class JsonReport {
   /// One measured configuration. `bench` names the benchmark, `config`
   /// the grid point (e.g. "L=5 v=10 pct=25 engine=plan").
   void add(const std::string& bench, const std::string& config,
-           const TimingStats& stats, std::size_t bytes) {
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "  {\"bench\": \"%s\", \"config\": \"%s\", "
-                  "\"best_s\": %.9g, \"p50_s\": %.9g, \"p95_s\": %.9g, "
-                  "\"max_s\": %.9g, \"mean_s\": %.9g, \"bytes\": %zu}",
-                  escape(bench).c_str(), escape(config).c_str(), stats.best,
-                  stats.p50, stats.p95, stats.max, stats.mean, bytes);
-    rows_.push_back(buf);
+           const TimingStats& stats, std::size_t bytes,
+           Fields extra = {}) {
+    rows_.push_back(Row{bench, config, stats, bytes, std::move(extra)});
   }
 
-  ~JsonReport() {
-    if (rows_.empty()) return;
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+
+  /// The whole report as the JSON text write() puts on disk.
+  [[nodiscard]] std::string render() const {
+    std::string out = "[\n";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const Row& r = rows_[i];
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "\"best_s\": %.9g, \"p50_s\": %.9g, \"p95_s\": %.9g, "
+                    "\"max_s\": %.9g, \"mean_s\": %.9g, \"bytes\": %zu",
+                    r.stats.best, r.stats.p50, r.stats.p95, r.stats.max,
+                    r.stats.mean, r.bytes);
+      out += "  {\"bench\": \"" + escape(r.bench) + "\", \"config\": \"" +
+             escape(r.config) + "\", " + buf;
+      for (const auto& [name, value] : r.extra)
+        out += ", \"" + escape(name) + "\": " + std::to_string(value);
+      out += i + 1 < rows_.size() ? "},\n" : "}\n";
+    }
+    out += "]\n";
+    return out;
+  }
+
+  /// Write the report now; false when the file cannot be written.
+  bool write() {
+    written_ = true;
     const char* path = std::getenv("ICKPT_BENCH_JSON");
     if (path == nullptr) path = "BENCH_obs.json";
     std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) return;  // best-effort: a report must not fail a bench
-    std::fputs("[\n", f);
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      std::fprintf(f, "%s%s\n", rows_[i].c_str(),
-                   i + 1 < rows_.size() ? "," : "");
-    std::fputs("]\n", f);
-    std::fclose(f);
+    if (f == nullptr) return false;
+    const std::string text = render();
+    const bool ok = std::fputs(text.c_str(), f) >= 0;
+    if (std::fclose(f) != 0 || !ok) return false;
     std::printf("\nwrote %zu row(s) to %s\n", rows_.size(), path);
+    return true;
+  }
+
+  ~JsonReport() {
+    // Best-effort at exit: a report must not fail a bench that did not ask.
+    if (!written_ && !rows_.empty()) write();
   }
 
  private:
+  struct Row {
+    std::string bench;
+    std::string config;
+    TimingStats stats;
+    std::size_t bytes = 0;
+    Fields extra;
+  };
+
   JsonReport() = default;
 
   static std::string escape(const std::string& s) {
@@ -213,7 +248,8 @@ class JsonReport {
     return out;
   }
 
-  std::vector<std::string> rows_;
+  std::vector<Row> rows_;
+  bool written_ = false;
 };
 
 // --- tiny fixed-width table printer ------------------------------------------

@@ -20,17 +20,11 @@ namespace ickpt::analysis::residual {
 
 namespace detail {
 
-inline void header(io::DataWriter& d, TypeId type, const core::CheckpointInfo& info) {
-  d.write_u8(core::kRecordTag);
-  d.write_varint(type);
-  d.write_varint(info.id());
-}
-
 template <class T>
 inline void record_if_modified(T& obj, io::DataWriter& d) {
   core::CheckpointInfo& info = obj.info();
   if (info.modified()) {
-    header(d, T::kTypeId, info);
+    core::write_record_header(d, T::kTypeId, info.id());
     obj.T::record(d);  // qualified: direct call, no dispatch
     info.reset_modified();
   }
@@ -71,14 +65,10 @@ template <class PerRoot>
 inline void run_residual_checkpoint(io::DataWriter& d, Epoch epoch,
                                     std::span<Attributes* const> roots,
                                     PerRoot&& per_root) {
-  d.write_u8(core::kStreamMagic);
-  d.write_u8(core::kFormatVersion);
-  d.write_u8(static_cast<std::uint8_t>(core::Mode::kIncremental));
-  d.write_u64(epoch);
-  d.write_varint(roots.size());
-  for (const Attributes* attr : roots) d.write_varint(attr->info().id());
-  for (Attributes* attr : roots) per_root(*attr, d);
-  d.write_u8(core::kEndTag);
+  core::write_stream(
+      d, core::Mode::kIncremental, epoch, roots,
+      [](const Attributes* attr) { return attr->info().id(); },
+      [&](Attributes* attr) { per_root(*attr, d); });
 }
 
 }  // namespace ickpt::analysis::residual

@@ -1,39 +1,16 @@
 #include "core/checkpoint.hpp"
 
-#include "common/error.hpp"
 #include "io/byte_sink.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace ickpt::core {
 
-Checkpoint::Checkpoint(io::DataWriter& d, Epoch epoch,
-                       std::span<Checkpointable* const> roots,
-                       CheckpointOptions opts)
+Checkpoint::Checkpoint(io::DataWriter& d, CheckpointOptions opts)
     : d_(d),
       mode_(opts.mode),
       dry_(opts.dry_run),
       guard_(opts.cycle_guard),
-      prof_(opts.profile) {
-  bind_hooks(opts.hooks);
-  if (dry_) return;
-  d_.write_u8(kStreamMagic);
-  d_.write_u8(kFormatVersion);
-  d_.write_u8(static_cast<std::uint8_t>(mode_));
-  d_.write_u64(epoch);
-  d_.write_varint(roots.size());
-  for (const Checkpointable* root : roots)
-    d_.write_varint(root != nullptr ? root->info().id() : kNullObjectId);
-}
-
-Checkpoint::Checkpoint(io::DataWriter& d, CheckpointOptions opts,
-                       ClaimTable* claims)
-    : d_(d),
-      mode_(opts.mode),
-      dry_(opts.dry_run),
-      guard_(opts.cycle_guard),
-      framing_(false),
-      claims_(claims),
       prof_(opts.profile) {
   bind_hooks(opts.hooks);
 }
@@ -55,9 +32,8 @@ void Checkpoint::checkpoint_record_only(Checkpointable& o) {
   if (mode_ == Mode::kFull || info.modified()) {
     ++stats_.objects_recorded;
     if (!dry_) {
-      d_.write_u8(kRecordTag);
-      d_.write_varint(o.type_id());
-      d_.write_varint(info.id());
+      write_record_header(
+          d_, [&] { return o.type_id(); }, [&] { return info.id(); });
       o.record(d_);
       info.reset_modified();
     }
@@ -101,9 +77,8 @@ void Checkpoint::checkpoint_profiled(Checkpointable& o, bool fold_children) {
     ++stats_.objects_recorded;
     prof_->records += 1;
     if (!dry_) {
-      d_.write_u8(kRecordTag);
-      d_.write_varint(o.type_id());
-      d_.write_varint(info.id());
+      write_record_header(
+          d_, [&] { return o.type_id(); }, [&] { return info.id(); });
       o.record(d_);
       info.reset_modified();
     }
@@ -115,19 +90,13 @@ void Checkpoint::checkpoint_profiled(Checkpointable& o, bool fold_children) {
   if (leave_ != nullptr) (*leave_)(o);
 }
 
-void Checkpoint::end() {
-  if (ended_) throw Error("Checkpoint::end() called twice");
-  ended_ = true;
-  if (!dry_ && framing_) d_.write_u8(kEndTag);
-}
-
 void Checkpoint::collect_children(Checkpointable& o,
                                   std::vector<Checkpointable*>& out) {
   io::CountingSink sink;
   io::DataWriter d(sink, 16);
   CheckpointOptions opts;
   opts.dry_run = true;
-  Checkpoint collector(d, opts, nullptr);
+  Checkpoint collector(d, opts);
   collector.collect_ = &out;
   o.fold(collector);
 }
@@ -135,7 +104,8 @@ void Checkpoint::collect_children(Checkpointable& o,
 CheckpointStats Checkpoint::run(io::DataWriter& d, Epoch epoch,
                                 std::span<Checkpointable* const> roots,
                                 CheckpointOptions opts) {
-  Checkpoint c(d, epoch, roots, opts);
+  if (!opts.dry_run) write_stream_header(d, opts.mode, epoch, roots, ref_id);
+  Checkpoint c(d, opts);
   {
     // Residual attribution: the walk wall not claimed by dirty-test /
     // serialize / claim becomes kRootWalk (no-op when profile is null).
@@ -144,7 +114,7 @@ CheckpointStats Checkpoint::run(io::DataWriter& d, Epoch epoch,
       if (root != nullptr) c.checkpoint(*root);
   }
   if (opts.profile != nullptr) opts.profile->epochs += 1;
-  c.end();
+  if (!opts.dry_run) write_end(d);
   return c.stats();
 }
 

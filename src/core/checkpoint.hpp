@@ -5,6 +5,12 @@
 // fold), tests the modified flag, and traverses children even when the whole
 // subtree is unmodified. Keep it this way — the benchmarks measure exactly
 // this code against the specialized executors.
+//
+// A Checkpoint object is a records-only walker: it writes object records and
+// nothing else. The stream around them (header and end tag,
+// core/checkpoint_format.hpp) is framed by Checkpoint::run for a serial
+// capture and by the sharded driver (core/segment_merge.hpp) for a parallel
+// one; a dry-run walker (reachability, graph checks) frames nothing.
 #pragma once
 
 #include <functional>
@@ -66,11 +72,9 @@ struct CheckpointOptions {
 
 class Checkpoint {
  public:
-  /// Writes the stream header for a checkpoint of `roots` at `epoch`.
-  /// The caller must then invoke checkpoint() on each root, in order,
-  /// and finally end().
-  Checkpoint(io::DataWriter& d, Epoch epoch,
-             std::span<Checkpointable* const> roots, CheckpointOptions opts);
+  /// A walker that writes the records of every object checkpoint() visits
+  /// into `d` (nothing, under opts.dry_run).
+  Checkpoint(io::DataWriter& d, CheckpointOptions opts);
 
   Checkpoint(const Checkpoint&) = delete;
   Checkpoint& operator=(const Checkpoint&) = delete;
@@ -102,9 +106,10 @@ class Checkpoint {
     if (mode_ == Mode::kFull || info.modified()) {
       ++stats_.objects_recorded;
       if (!dry_) {
-        d_.write_u8(kRecordTag);
-        d_.write_varint(o.type_id());
-        d_.write_varint(info.id());
+        // Type and id are read after the tag is buffered, so neither is
+        // held across the writer's buffer check.
+        write_record_header(
+            d_, [&] { return o.type_id(); }, [&] { return info.id(); });
         o.record(d_);
         info.reset_modified();
       }
@@ -113,9 +118,6 @@ class Checkpoint {
     o.fold(*this);
     if (leave_ != nullptr) (*leave_)(o);
   }
-
-  /// Terminate the record stream. Must be called exactly once.
-  void end();
 
   [[nodiscard]] const CheckpointStats& stats() const noexcept { return stats_; }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
@@ -127,7 +129,8 @@ class Checkpoint {
     return visited_;
   }
 
-  /// Convenience: header + every root + end, in one call.
+  /// One whole stream: header + every root + end tag (no framing under
+  /// opts.dry_run).
   static CheckpointStats run(io::DataWriter& d, Epoch epoch,
                              std::span<Checkpointable* const> roots,
                              CheckpointOptions opts);
@@ -142,12 +145,6 @@ class Checkpoint {
 
  private:
   friend class ParallelCheckpoint;
-
-  /// Internal (ParallelCheckpoint): a records-only shard walker. Writes no
-  /// stream header at construction and no end tag from end() — the parallel
-  /// merge stage frames the shard segments itself — and defers cross-shard
-  /// visited decisions to `claims` (may be null when cycle_guard is off).
-  Checkpoint(io::DataWriter& d, CheckpointOptions opts, ClaimTable* claims);
 
   /// Internal (ParallelCheckpoint): the records-only half of checkpoint() —
   /// guard/claim, dirty test, record, reset — without folding children.
@@ -177,8 +174,6 @@ class Checkpoint {
   Mode mode_;
   bool dry_;
   bool guard_;
-  /// False for shard walkers: end() then emits no end tag.
-  bool framing_ = true;
   /// Collect mode (collect_children): non-null diverts every checkpoint()
   /// call into this list. Tested first in the inline fast path — the same
   /// one-pointer-test cost rule as the hooks.
@@ -186,9 +181,10 @@ class Checkpoint {
   const std::function<void(Checkpointable&)>* enter_ = nullptr;
   const std::function<void(Checkpointable&)>* leave_ = nullptr;
   const std::function<void(Checkpointable&)>* revisit_ = nullptr;
+  /// Cross-shard visited arbitration; set by ParallelCheckpoint on its shard
+  /// walkers under cycle_guard, null otherwise.
   ClaimTable* claims_ = nullptr;
   obs::CaptureProfile* prof_ = nullptr;
-  bool ended_ = false;
   CheckpointStats stats_;
   std::unordered_set<ObjectId> visited_;
 };

@@ -109,9 +109,16 @@ class Heap {
   std::vector<std::unique_ptr<Checkpointable>> objects_;
 };
 
+/// The id a stream writes for a reference: the object's id, or
+/// kNullObjectId for null. Child references (write_child_id) and
+/// stream-header roots share this rule.
+inline ObjectId ref_id(const Checkpointable* o) noexcept {
+  return o != nullptr ? o->info().id() : kNullObjectId;
+}
+
 /// Record a child reference as its unique id (null child -> kNullObjectId).
 inline void write_child_id(io::DataWriter& d, const Checkpointable* child) {
-  d.write_varint(child != nullptr ? child->info().id() : kNullObjectId);
+  d.write_varint(ref_id(child));
 }
 
 }  // namespace ickpt::core

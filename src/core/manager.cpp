@@ -43,12 +43,9 @@ CheckpointManager::Metrics::Metrics()
 namespace {
 
 io::StorageOptions storage_options(const ManagerOptions& opts) {
-  io::StorageOptions sopts{.durable = opts.durable,
-                           .fault = opts.fault_policy,
-                           .retry = opts.retry};
-  if (opts.retry_jitter_seed != 0 && sopts.retry.jitter_seed == 0)
-    sopts.retry.jitter_seed = opts.retry_jitter_seed;
-  return sopts;
+  return io::StorageOptions{.durable = opts.durable,
+                            .fault = opts.fault_policy,
+                            .retry = opts.retry};
 }
 
 /// Highest stream-header epoch visible anywhere on the generation chain,
@@ -266,22 +263,15 @@ CheckpointStats CheckpointManager::capture(
     Epoch epoch, std::span<Checkpointable* const> roots, Mode mode,
     io::VectorSink& sink, obs::CaptureProfile* prof) {
   sink.clear();
-  CheckpointStats stats;
   io::DataWriter writer(sink);
-  if (opts_.capture_threads > 1) {
-    ParallelOptions popts;
-    popts.mode = mode;
-    popts.cycle_guard = opts_.cycle_guard;
-    popts.threads = opts_.capture_threads;
-    popts.profile = prof;
-    stats = ParallelCheckpoint::run(writer, epoch, roots, popts).totals;
-  } else {
-    CheckpointOptions copts;
-    copts.mode = mode;
-    copts.cycle_guard = opts_.cycle_guard;
-    copts.profile = prof;
-    stats = Checkpoint::run(writer, epoch, roots, copts);
-  }
+  // One thread hands the capture to the serial walker unchanged.
+  ParallelOptions popts;
+  popts.mode = mode;
+  popts.cycle_guard = opts_.cycle_guard;
+  popts.threads = opts_.capture_threads;
+  popts.profile = prof;
+  const CheckpointStats stats =
+      ParallelCheckpoint::run(writer, epoch, roots, popts).totals;
   writer.flush();
   return stats;
 }

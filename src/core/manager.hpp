@@ -66,11 +66,6 @@ struct ManagerOptions {
   /// the log to a quarantine file on persistent append failure, and re-arms
   /// the configured pipeline after heal.reheal_after clean epochs.
   HealPolicy heal{};
-  /// Nonzero: seed for deterministic retry-backoff jitter, copied into
-  /// retry.jitter_seed unless that is already set (io::backoff_delay).
-  /// Give parallel shards / future tenants distinct seeds so congested
-  /// devices don't see lockstep retry storms.
-  std::uint64_t retry_jitter_seed = 0;
   /// Attribute every take()'s wall time to capture stages (root walk, dirty
   /// test, serialize, claim, merge, write, fsync) plus contention counters;
   /// read the result with last_capture_profile(). Off by default: the hot

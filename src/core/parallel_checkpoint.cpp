@@ -4,11 +4,10 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/segment_merge.hpp"
-#include "io/byte_sink.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace ickpt::core {
@@ -29,11 +28,6 @@ struct WorkItem {
   std::size_t child_end = 0;
 };
 
-std::size_t resolve_backlog_budget(std::size_t requested, unsigned threads) {
-  if (requested != ParallelOptions::kAutoBacklog) return requested;
-  return StreamingShardRunner::auto_backlog_budget(threads);
-}
-
 }  // namespace
 
 ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
@@ -46,7 +40,6 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
     // identical cost profile to calling Checkpoint::run directly.
     CheckpointOptions copts;
     copts.mode = opts.mode;
-    copts.dry_run = opts.dry_run;
     copts.cycle_guard = opts.cycle_guard;
     copts.profile = opts.profile;
     ParallelStats p;
@@ -56,24 +49,15 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   if (opts.threads <= 1 || nroots == 0) return run_serial();
 
   // ---- Build the ordered work-item list. ----------------------------------
-  const std::size_t target = static_cast<std::size_t>(opts.threads) *
-                             std::max(1u, opts.shards_per_thread);
+  const std::size_t target = opts.threads * kItemsPerThread;
   std::vector<WorkItem> items;
   std::deque<std::vector<Checkpointable*>> kid_store;  // stable references
   if (nroots >= target) {
     // Range mode: item 0 is a single root so the stream header (which the
     // merge cursor emits just before item 0's bytes) is unblocked almost
     // immediately; the rest of the roots split evenly.
-    items.reserve(target);
-    items.push_back(WorkItem{WorkItem::kRootRange, 0, 1, nullptr, 0, 0});
-    const std::size_t rest = nroots - 1;
-    const std::size_t nrest = target - 1;
-    for (std::size_t i = 0; i < nrest; ++i) {
-      const std::size_t b = 1 + i * rest / nrest;
-      const std::size_t e = 1 + (i + 1) * rest / nrest;
-      if (b < e)
-        items.push_back(WorkItem{WorkItem::kRootRange, b, e, nullptr, 0, 0});
-    }
+    for (const auto& [b, e] : root_ranges(nroots, target))
+      items.push_back(WorkItem{WorkItem::kRootRange, b, e, nullptr, 0, 0});
   } else {
     // Split mode: too few roots to feed the pool, so a compound root's fold
     // is broken into its own record plus per-child ranges behind the shared
@@ -108,22 +92,13 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   obs::Span span("checkpoint.parallel", "checkpoint");
 
   std::unique_ptr<ClaimTable> claims;
-  if (opts.cycle_guard) {
-    const std::size_t capacity =
-        opts.claim_capacity != 0 ? opts.claim_capacity : nroots * 8 + 1024;
-    claims = std::make_unique<ClaimTable>(capacity);
-  }
+  if (opts.cycle_guard)
+    claims = std::make_unique<ClaimTable>(nroots * 8 + 1024);
 
   std::vector<ShardStats> shard_stats(nitems);
-  const bool profiling = opts.profile != nullptr;
 
-  CheckpointOptions shard_opts;
-  shard_opts.mode = opts.mode;
-  shard_opts.dry_run = opts.dry_run;
-  shard_opts.cycle_guard = opts.cycle_guard;
-
-  auto execute_item = [&](std::size_t i, std::size_t w,
-                          io::DataWriter& writer) -> std::size_t {
+  auto execute_item = [&](std::size_t i, io::DataWriter& writer,
+                          obs::CaptureProfile* profile) {
     const WorkItem& item = items[i];
     ShardStats& out = shard_stats[i];
     obs::Span shard_span("checkpoint.shard", "checkpoint");
@@ -131,14 +106,16 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
     {
       // A fresh walker per item = a fresh visited-set epoch: revisits
       // inside the item stay lock-free, cross-item sharing goes through
-      // the claim table. When profiling, the item walks with a private
-      // CaptureProfile (single writer: whichever worker executes the
-      // item), folded into the caller's profile after the pool joins.
-      CheckpointOptions so = shard_opts;
-      if (profiling) so.profile = &out.profile;
-      Checkpoint walker(writer, so, claims.get());
+      // the claim table. When profiling, the item walks with the private
+      // CaptureProfile the driver handed it.
+      CheckpointOptions so;
+      so.mode = opts.mode;
+      so.cycle_guard = opts.cycle_guard;
+      so.profile = profile;
+      Checkpoint walker(writer, so);
+      walker.claims_ = claims.get();
       {
-        obs::ScopedWalk walk(so.profile);
+        obs::ScopedWalk walk(profile);
         switch (item.kind) {
           case WorkItem::kRootRange:
             for (std::size_t r = item.begin; r < item.end; ++r)
@@ -153,47 +130,33 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
             break;
         }
       }
-      walker.end();
       out.stats = walker.stats();
     }
-    out.shard = i;
-    out.root_begin = item.begin;
-    out.root_end = item.end;
-    out.worker = static_cast<unsigned>(w);
-    const std::size_t bytes = writer.bytes_written() - before;
     if (shard_span.active())
       shard_span.note("item " + std::to_string(i) + ": roots [" +
                       std::to_string(item.begin) + ", " +
                       std::to_string(item.end) + "), " +
                       std::to_string(out.stats.objects_recorded) + "/" +
                       std::to_string(out.stats.objects_visited) +
-                      " recorded, " + std::to_string(bytes) + " byte(s)");
-    return bytes;
+                      " recorded, " +
+                      std::to_string(writer.bytes_written() - before) +
+                      " byte(s)");
   };
 
-  // ---- Stream through the merge frontier. ---------------------------------
-  auto emit_header = [&](io::DataWriter& writer) {
-    if (opts.dry_run) return;
-    writer.write_u8(kStreamMagic);
-    writer.write_u8(kFormatVersion);
-    writer.write_u8(static_cast<std::uint8_t>(opts.mode));
-    writer.write_u64(epoch);
-    writer.write_varint(nroots);
-    for (const Checkpointable* root : roots)
-      writer.write_varint(root != nullptr ? root->info().id() : kNullObjectId);
-  };
-  SegmentMerge merge(d, nitems, emit_header);
-
-  StreamingShardRunner::Options ropts;
+  // ---- Stream through the sharded driver. ---------------------------------
+  ShardRunOptions ropts;
   ropts.threads = threads;
   ropts.backlog_budget =
-      resolve_backlog_budget(opts.merge_backlog_bytes, threads);
+      opts.merge_backlog_bytes == ParallelOptions::kAutoBacklog
+          ? auto_backlog_budget(threads)
+          : opts.merge_backlog_bytes;
   ropts.item_hook = opts.test_item_hook;
-  const MergeRunResult rr =
-      StreamingShardRunner::run(merge, nitems, ropts, execute_item);
-
-  merge.finish();
-  if (!opts.dry_run) d.write_u8(kEndTag);
+  const MergeRunResult rr = run_sharded_capture(
+      d,
+      [&](io::DataWriter& w) {
+        write_stream_header(w, opts.mode, epoch, roots, ref_id);
+      },
+      nitems, ropts, opts.profile, execute_item);
 
   // ---- Fold results. ------------------------------------------------------
   ParallelStats result;
@@ -201,18 +164,16 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   result.threads_used = threads;
   result.steals = rr.steals;
   result.merge_seconds = static_cast<double>(rr.merge_ns) / 1e9;
-  result.merge_wait_seconds = static_cast<double>(rr.wait_ns) / 1e9;
   result.merge_buffered_peak_bytes = rr.buffered_peak_bytes;
-  result.direct_items = rr.direct_items;
   result.shard_stats = std::move(shard_stats);
 
   std::vector<std::uint64_t> worker_visited(threads, 0);
   for (std::size_t i = 0; i < nitems; ++i) {
     ShardStats& s = result.shard_stats[i];
     const MergeItemResult& ir = rr.items[i];
-    s.stolen = ir.stolen;
     s.streamed_direct = ir.direct;
     s.bytes = ir.bytes;
+    if (ir.direct) ++result.direct_items;
     result.totals.objects_visited += s.stats.objects_visited;
     result.totals.objects_recorded += s.stats.objects_recorded;
     worker_visited[ir.worker] += s.stats.objects_visited;
@@ -226,30 +187,6 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   if (sum_visited > 0)
     result.imbalance = static_cast<double>(max_visited) * threads /
                        static_cast<double>(sum_visited);
-
-  if (profiling) {
-    // Fold the per-item profiles into the caller's accumulator. busy_ns
-    // becomes the sum of per-item walk intervals plus the merge-cursor and
-    // join-wait time — attributable time, deliberately larger than
-    // coordinator wall when items overlap.
-    using P = obs::CaptureProfile;
-    for (std::size_t i = 0; i < nitems; ++i) {
-      ShardStats& s = result.shard_stats[i];
-      if (s.streamed_direct)
-        s.profile.direct_stream_bytes = s.bytes;
-      else
-        s.profile.shard_sink_bytes = s.bytes;
-      opts.profile->add(s.profile);
-    }
-    opts.profile->steal_attempts += rr.steal_attempts;
-    opts.profile->steal_failures += rr.steal_failures;
-    opts.profile->stage_ns[P::kMerge] += rr.merge_ns;
-    opts.profile->stage_ns[P::kMergeWait] += rr.wait_ns;
-    opts.profile->busy_ns += rr.merge_ns + rr.wait_ns;
-    if (rr.buffered_peak_bytes > opts.profile->merge_buffered_peak_bytes)
-      opts.profile->merge_buffered_peak_bytes = rr.buffered_peak_bytes;
-    opts.profile->epochs += 1;
-  }
 
   // Once-per-capture telemetry; per-call lookups are fine off the worker
   // hot path (same budget recover() spends).

@@ -2,9 +2,11 @@
 //
 // The paper's driver (Fig. 1) walks the object graph serially, so capture
 // latency scales with graph size regardless of cores. This component
-// partitions the capture into ordered work items, records each item on a
-// work-stealing worker pool, and streams the results into the caller's
-// DataWriter through an ordered merge frontier (core/segment_merge.hpp):
+// partitions the capture into ordered work items, each recorded by its own
+// records-only walker, and hands them to the sharded driver
+// (core/segment_merge.hpp), which runs them on a work-stealing pool and
+// streams them into the caller's DataWriter through an ordered merge
+// frontier:
 //
 //  - An item at the merge frontier writes *directly* into the caller's
 //    writer — those bytes are never buffered. Items ahead of the frontier
@@ -15,11 +17,11 @@
 //    first byte of item 0 — never earlier — so a worker throw before any
 //    segment streams leaves the caller's writer untouched (the serial path
 //    would already have written its header; see Failure semantics).
-//  - Work items are root ranges, except when the root set is too small to
-//    feed the pool (fewer roots than threads x shards_per_thread): then a
-//    compound root is split into its record (a records-only visit) plus
-//    per-child ranges of its top-level fold targets, so one giant root no
-//    longer serializes the walk.
+//  - Work items are root ranges, kItemsPerThread of them per worker, except
+//    when the root set is too small to feed the pool (fewer roots than
+//    threads x kItemsPerThread): then a compound root is split into its
+//    record (a records-only visit) plus per-child ranges of its top-level
+//    fold targets, so one giant root no longer serializes the walk.
 //
 // The emitted payload obeys the exact format of docs/FORMAT.md — item-order
 // concatenation reproduces the serial layout — and Recovery/fsck need no
@@ -61,7 +63,6 @@
 
 #include "core/checkpoint.hpp"
 #include "io/data_writer.hpp"
-#include "obs/profile.hpp"
 
 namespace ickpt::core {
 
@@ -71,21 +72,13 @@ struct ParallelOptions {
   static constexpr std::size_t kAutoBacklog = SIZE_MAX;
 
   Mode mode = Mode::kIncremental;
-  /// Traverse and test but write nothing and reset no flags.
-  bool dry_run = false;
   /// Per-shard visited epochs + cross-shard ClaimTable (see header comment).
+  /// The claim table starts at nroots * 8 + 1024 slots; an underestimate
+  /// costs overflow-segment probing, never correctness.
   bool cycle_guard = false;
   /// Worker pool size. <= 1 delegates to the serial Checkpoint::run — the
   /// paper-faithful path, byte-for-byte and cost-for-cost.
   unsigned threads = 1;
-  /// Work items per worker: the work-stealing granularity. More items
-  /// balance skewed root subtrees better at the cost of more (cheap)
-  /// frontier advances.
-  unsigned shards_per_thread = 4;
-  /// Capacity hint for the lock-free claim table (cycle_guard only):
-  /// expected distinct object ids. 0 = derive from the root count.
-  /// Underestimates cost overflow-segment probing, never correctness.
-  std::size_t claim_capacity = 0;
   /// Published-segment backlog (bytes) beyond which workers stop recording
   /// ahead of the merge frontier and yield instead. kAutoBacklog resolves
   /// to: unbounded when threads <= hardware cores (recording ahead is the
@@ -109,21 +102,11 @@ struct ParallelOptions {
 /// Capture accounting for one work item (a contiguous root range, a split
 /// root's record, or a split root's child range).
 struct ShardStats {
-  std::size_t shard = 0;
-  std::size_t root_begin = 0;
-  std::size_t root_end = 0;
-  /// Worker that executed the item; `stolen` when that is not the worker
-  /// the item was initially dealt to.
-  unsigned worker = 0;
-  bool stolen = false;
   /// The item was at the merge frontier and streamed straight into the
   /// caller's writer — its bytes were never buffered.
   bool streamed_direct = false;
   CheckpointStats stats;
   std::size_t bytes = 0;
-  /// Per-item stage attribution; all-zero unless ParallelOptions::profile
-  /// was set for the capture.
-  obs::CaptureProfile profile;
 };
 
 struct ParallelStats {
@@ -136,9 +119,6 @@ struct ParallelStats {
   double imbalance = 1.0;
   /// Wall time spent inside the merge cursor streaming segments.
   double merge_seconds = 0.0;
-  /// Coordinator wall spent waiting for the last workers after its own
-  /// work ran dry.
-  double merge_wait_seconds = 0.0;
   /// High-water mark of bytes buffered behind the merge frontier — the
   /// streaming merge's memory bound, observed.
   std::size_t merge_buffered_peak_bytes = 0;
@@ -150,6 +130,11 @@ struct ParallelStats {
 
 class ParallelCheckpoint {
  public:
+  /// Work items per worker: the work-stealing granularity. More items
+  /// balance skewed root subtrees better at the cost of more (cheap)
+  /// frontier advances.
+  static constexpr std::size_t kItemsPerThread = 4;
+
   /// Write one checkpoint payload of `roots` at `epoch` into `d`:
   /// header + sharded records (streamed in item order) + end tag.
   static ParallelStats run(io::DataWriter& d, Epoch epoch,

@@ -18,9 +18,8 @@ std::size_t RecoveredState::prune_unreachable() {
     Checkpointable* obj = find(id);
     if (obj != nullptr) root_objs.push_back(obj);
   }
-  Checkpoint walker(writer, 0, root_objs, opts);
+  Checkpoint walker(writer, opts);
   for (Checkpointable* root : root_objs) walker.checkpoint(*root);
-  walker.end();
   const auto& live = walker.visited_ids();
 
   std::size_t dropped = heap.retain_if(

@@ -1,233 +1,98 @@
-// SegmentMerge + StreamingShardRunner: the streaming ordered merge behind
-// parallel capture (core::ParallelCheckpoint and spec's sharded plan path).
+// Sharded capture's one driver: run ordered work items on a worker pool and
+// stream their records into the caller's DataWriter as one checkpoint
+// stream. core::ParallelCheckpoint (generic capture) and spec's sharded plan
+// path both call run_sharded_capture; only the work items differ.
 //
-// The old sharded path buffered every shard's whole segment in memory and
-// concatenated them after a full barrier — the merge cost was serial,
-// the memory cost was the entire stream, and on one core the buffering
-// alone made parallel capture slower than serial. This module replaces the
-// barrier with a merge *frontier*:
+// The stream is the item-order concatenation of the items' records behind
+// one header and in front of one end tag (docs/FORMAT.md), so it is
+// byte-identical to serial capture by construction. An ordered merge
+// *frontier* replaces a barrier:
 //
-//   - Work items are ordered; the on-disk stream is the concatenation of
-//     their segments in item order (byte-identical to serial by
-//     construction).
-//   - The frontier is the lowest item index not yet streamed to the
-//     caller's DataWriter. A worker whose item IS the frontier can acquire
-//     the merge cursor and write straight into the caller's writer — those
-//     bytes are never buffered at all. Any other item records into a
-//     private VectorSink and publishes it; whoever advances the frontier
-//     drains published segments in order.
-//   - Extra memory is therefore bounded by out-of-order segments only,
-//     and the high-water mark of that backlog is tracked (profile counter
-//     + gauge) so the bound is observable, not asserted.
+//   - The frontier is the lowest item not yet streamed. A worker whose item
+//     IS the frontier writes straight into the caller's writer — those
+//     bytes are never buffered. Any other item records into a private sink
+//     and publishes it; whoever advances the frontier drains published
+//     segments in order.
+//   - Extra memory is therefore bounded by out-of-order segments only, and
+//     the high-water mark of that backlog is reported (profile counter,
+//     result) so the bound is observable, not asserted.
+//   - Scheduling prefers the frontier item, yields instead of recording
+//     ahead once the published backlog passes the budget, then takes from
+//     the worker's own block of items before stealing from the others.
 //
-// Header deferral (torn-stream fix): the stream header is emitted by the
-// merge cursor immediately before the first segment bytes leave, never at
-// construction. Item 0 is kept tiny by the callers (a single root / the
-// plan header), so a worker exception before any segment drains leaves the
-// caller's writer with zero bytes written — same as a serial throw at the
-// first record... except serial has already written its header; parallel
-// is now strictly cleaner.
-//
-// Threading: item states advance pending -> published -> streamed with
-// release/acquire pairs on the state atomic, so segment bytes written by
-// one thread are visible to the drainer. The cursor mutex serializes only
-// frontier advancement and caller-writer access; claim arbitration and
-// work claiming are lock-free (see claim_table.hpp).
+// Header deferral: the stream header is written just before the first
+// record bytes leave, and item 0 always buffers, so a capture that throws
+// before anything streams leaves the caller's writer untouched (a serial
+// throw would already have written the header).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "io/data_writer.hpp"
 
+namespace ickpt::obs {
+struct CaptureProfile;
+}
+
 namespace ickpt::core {
 
-/// Ordered merge cursor over `nitems` segments feeding one DataWriter.
-class SegmentMerge {
- public:
-  /// `emit_header` runs under the cursor lock immediately before the first
-  /// streamed byte (stream header / nothing for dry runs).
-  SegmentMerge(io::DataWriter& d, std::size_t nitems,
-               std::function<void(io::DataWriter&)> emit_header);
-
-  SegmentMerge(const SegmentMerge&) = delete;
-  SegmentMerge& operator=(const SegmentMerge&) = delete;
-
-  /// Hand item `i`'s recorded bytes to the cursor (out-of-order path).
-  /// After this the segment belongs to the merge; the worker moves on.
-  void publish(std::size_t i, std::vector<std::uint8_t>&& bytes);
-
-  /// Opportunistically advance the frontier: stream every contiguous
-  /// published segment starting at the frontier. Returns without blocking
-  /// if another thread holds the cursor. Safe to call from any worker.
-  void try_drain();
-
-  /// RAII grant to write item `i` directly into the caller's writer.
-  /// Holding it holds the cursor lock — keep the critical section to the
-  /// item's own recording. commit() marks the item streamed, advances the
-  /// frontier, and drains any segments it unblocked.
-  class Direct {
-   public:
-    Direct(Direct&&) noexcept = default;
-    ~Direct() = default;
-    Direct(const Direct&) = delete;
-    Direct& operator=(const Direct&) = delete;
-
-    [[nodiscard]] io::DataWriter& writer() noexcept { return *d_; }
-    void commit();
-
-   private:
-    friend class SegmentMerge;
-    Direct(SegmentMerge& m, std::size_t item,
-           std::unique_lock<std::mutex> lock) noexcept
-        : m_(&m), item_(item), lock_(std::move(lock)) {}
-    SegmentMerge* m_;
-    io::DataWriter* d_ = nullptr;
-    std::size_t item_;
-    std::unique_lock<std::mutex> lock_;
-  };
-
-  /// Try to claim direct-streaming rights for item `i`. Succeeds only when
-  /// `i` is the current frontier, the header is already out (item 0 always
-  /// buffers, so a pre-header throw leaves the writer untouched), and the
-  /// cursor lock is free right now. nullopt means: record into a private
-  /// sink and publish() instead.
-  [[nodiscard]] std::optional<Direct> try_direct(std::size_t i);
-
-  /// Blocking final drain: streams everything still published, and emits
-  /// the header even for an empty item set (nitems == 0). Called once by
-  /// the coordinator after a successful join; NOT called on failure, which
-  /// is what keeps a failed capture byte-free.
-  void finish();
-
-  [[nodiscard]] std::size_t frontier() const noexcept {
-    return frontier_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::size_t backlog_bytes() const noexcept {
-    return backlog_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::size_t buffered_peak_bytes() const noexcept {
-    return peak_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t merge_ns() const noexcept {
-    return merge_ns_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t direct_items() const noexcept {
-    return direct_items_.load(std::memory_order_acquire);
-  }
-  /// Bytes that went through published (buffered) segments.
-  [[nodiscard]] std::uint64_t segment_bytes() const noexcept {
-    return segment_bytes_.load(std::memory_order_acquire);
-  }
-  /// Last published segment's size — a reserve() hint for the next
-  /// private sink, killing the realloc ramp on steady-state captures.
-  [[nodiscard]] std::size_t reserve_hint() const noexcept {
-    return reserve_hint_.load(std::memory_order_relaxed);
-  }
-
- private:
-  enum : std::uint8_t { kPending = 0, kPublished = 1, kStreamed = 2 };
-
-  struct Item {
-    std::atomic<std::uint8_t> state{kPending};
-    std::vector<std::uint8_t> bytes;  // valid only in kPublished
-  };
-
-  /// Requires mu_ held. Streams contiguous published segments from the
-  /// frontier, emitting the header before the first byte, then samples the
-  /// backlog high-water — after streaming, so only genuinely
-  /// frontier-blocked bytes count toward the peak.
-  void drain_locked();
-
-  io::DataWriter& d_;
-  std::function<void(io::DataWriter&)> emit_header_;
-  std::vector<Item> items_;
-  std::mutex mu_;
-  bool header_written_ = false;  // guarded by mu_
-  std::atomic<std::size_t> frontier_{0};
-  std::atomic<std::size_t> backlog_{0};
-  std::atomic<std::size_t> peak_{0};
-  std::atomic<std::size_t> reserve_hint_{0};
-  std::atomic<std::uint64_t> merge_ns_{0};
-  std::atomic<std::uint64_t> direct_items_{0};
-  std::atomic<std::uint64_t> segment_bytes_{0};
+struct ShardRunOptions {
+  /// Worker pool size, the calling thread included (clamped to the items).
+  std::size_t threads = 1;
+  /// Published-backlog bytes beyond which non-frontier work yields.
+  /// SIZE_MAX = unbounded (real parallelism: buffering ahead is the win);
+  /// 0 = strict streaming (oversubscribed: never buffer more than the
+  /// segment in flight).
+  std::size_t backlog_budget = SIZE_MAX;
+  /// Test-only: fires after each item is published or committed, with the
+  /// item index. Used to force out-of-order completion deterministically.
+  std::function<void(std::size_t)> item_hook;
 };
+
+/// Default backlog budget: unbounded when every worker has a core behind it
+/// (recording ahead of the frontier is the parallelism win), 0 when
+/// oversubscribed (buffering ahead of a frontier that shares your core only
+/// grows memory).
+[[nodiscard]] std::size_t auto_backlog_budget(std::size_t threads) noexcept;
+
+/// Split roots [0, nroots) into min(nitems, nroots) contiguous ranges:
+/// root 0 alone in the first (so the deferred header is unblocked almost at
+/// once), the rest split evenly.
+[[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> root_ranges(
+    std::size_t nroots, std::size_t nitems);
 
 /// One work item's outcome, in item order.
 struct MergeItemResult {
-  std::size_t worker = 0;   ///< worker index that executed it
-  bool stolen = false;      ///< executed outside its home block
-  bool direct = false;      ///< streamed directly, never buffered
-  std::size_t bytes = 0;    ///< segment size (buffered or direct)
+  std::size_t worker = 0;  ///< worker index that executed it
+  bool direct = false;     ///< streamed directly, never buffered
+  std::size_t bytes = 0;   ///< segment size (buffered or direct)
 };
 
 struct MergeRunResult {
   std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_failures = 0;
-  std::uint64_t merge_ns = 0;        ///< cursor lock-hold time (kMerge)
-  std::uint64_t wait_ns = 0;         ///< coordinator join wait (kMergeWait)
-  std::uint64_t direct_items = 0;
-  std::uint64_t segment_bytes = 0;   ///< buffered (published) bytes
-  std::uint64_t direct_bytes = 0;    ///< direct-streamed bytes
+  std::uint64_t merge_ns = 0;  ///< merge-cursor lock-hold time (kMerge)
   std::size_t buffered_peak_bytes = 0;
   std::vector<MergeItemResult> items;
 };
 
-/// Frontier-preferring work-stealing scheduler shared by ParallelCheckpoint
-/// and spec's sharded plan executor.
-///
-/// Scheduling policy, in priority order for each worker iteration:
-///   1. the frontier item, if unclaimed — try to stream it directly
-///      (zero-copy) or at least get it recorded so the frontier can move;
-///   2. when the published backlog exceeds `backlog_budget`, yield instead
-///      of buffering more (oversubscribed boxes: recording ahead of the
-///      frontier only grows memory without any wall-clock win);
-///   3. the worker's own home block, then stealing from the busiest
-///      remaining block.
-///
-/// `execute(item, worker, writer)` records item `item` into `writer` and
-/// returns the number of bytes it wrote. The runner decides whether that
-/// writer targets the caller's stream (direct) or a private sink (publish).
-class StreamingShardRunner {
- public:
-  struct Options {
-    std::size_t threads = 1;
-    /// Published-backlog bytes beyond which non-frontier work yields.
-    /// SIZE_MAX = unbounded (real parallelism: buffering ahead is the win);
-    /// 0 = strict streaming (oversubscribed: never buffer more than the
-    /// segment in flight).
-    std::size_t backlog_budget = SIZE_MAX;
-    /// Shard-sink reserve floor (bytes); the live reserve hint can raise it.
-    std::size_t reserve_floor = 0;
-    /// Test-only: fires after each item is published or committed, with the
-    /// item index. Used to force out-of-order completion deterministically.
-    std::function<void(std::size_t)> item_hook;
-  };
+/// Record item `item` into `writer`. `profile` is the item's own
+/// CaptureProfile (one writer: the executing worker), or null when the
+/// capture is not profiled.
+using ExecuteItem = std::function<void(
+    std::size_t item, io::DataWriter& writer, obs::CaptureProfile* profile)>;
 
-  using Execute =
-      std::function<std::size_t(std::size_t item, std::size_t worker,
-                                io::DataWriter& writer)>;
-
-  /// Run `nitems` items over `opts.threads` workers (the calling thread is
-  /// worker 0), streaming segments into `merge` in item order. Rethrows the
-  /// first worker exception after all workers stop; in that case merge is
-  /// left unfinished (no end tag, possibly no header). On success the
-  /// caller still owns finish() + end-tag framing.
-  static MergeRunResult run(SegmentMerge& merge, std::size_t nitems,
-                            const Options& opts, const Execute& execute);
-
-  /// Default backlog budget: unbounded when every worker has a core behind
-  /// it (recording ahead of the frontier is the parallelism win), 0 when
-  /// oversubscribed (buffering ahead of a frontier that shares your core
-  /// only grows memory).
-  [[nodiscard]] static std::size_t auto_backlog_budget(
-      std::size_t threads) noexcept;
-};
+/// Write one checkpoint stream into `d`: `write_header`, the records of
+/// items [0, nitems) in item order, and the end tag. The calling thread is
+/// worker 0. The first worker exception is rethrown after every worker
+/// stops; `d` then holds nothing or a torn prefix, never an end tag. With a
+/// non-null `profile`, every item profile is folded into it after the join,
+/// together with steals, merge and merge-wait time and the peak backlog.
+MergeRunResult run_sharded_capture(
+    io::DataWriter& d, const std::function<void(io::DataWriter&)>& write_header,
+    std::size_t nitems, const ShardRunOptions& opts,
+    obs::CaptureProfile* profile, const ExecuteItem& execute);
 
 }  // namespace ickpt::core

@@ -1,16 +1,11 @@
 #include "spec/executor.hpp"
 
-#include <atomic>
 #include <cstring>
-#include <exception>
-#include <memory>
-#include <thread>
-#include <vector>
 
 #include "common/error.hpp"
 #include "core/checkpoint_info.hpp"
+#include "core/parallel_checkpoint.hpp"
 #include "core/segment_merge.hpp"
-#include "io/byte_sink.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
@@ -29,6 +24,16 @@ T load(const char* base, std::uint32_t offset) {
 
 core::CheckpointInfo& info_at(char* base, std::uint32_t offset) {
   return *reinterpret_cast<core::CheckpointInfo*>(base + offset);
+}
+
+/// Stream-header projection for the plan's roots: each root's id sits at
+/// the plan's root_info_offset.
+auto root_id(const Plan& plan) {
+  return [offset = plan.root_info_offset](void* root) {
+    return reinterpret_cast<const core::CheckpointInfo*>(
+               static_cast<const char*>(root) + offset)
+        ->id();
+  };
 }
 
 }  // namespace
@@ -64,12 +69,14 @@ void PlanExecutor::run(void* root, io::DataWriter& d) const {
       case OpCode::kTestSkip:
         if (!info_at(cur, op.a).modified()) ip += op.b;
         break;
-      case OpCode::kWriteHeader: {
-        d.write_u8(core::kRecordTag);
-        d.write_varint(op.imm);
-        d.write_varint(info_at(cur, op.a).id());
+      case OpCode::kWriteHeader:
+        // Lazy operands: imm and the id are loaded after the tag is
+        // buffered, so neither is held across the buffer check. `cur` is
+        // captured by value so its address is never taken.
+        core::write_record_header(
+            d, [&op] { return op.imm; },
+            [&op, cur] { return info_at(cur, op.a).id(); });
         break;
-      }
       case OpCode::kWriteU8:
         d.write_u8(load<std::uint8_t>(cur, op.a));
         break;
@@ -230,19 +237,8 @@ void run_plan_checkpoint(io::DataWriter& d, Epoch epoch,
                          std::span<void* const> roots,
                          const PlanExecutor& exec, core::Mode mode,
                          obs::CaptureProfile* profile) {
-  const Plan& plan = exec.plan();
-  d.write_u8(core::kStreamMagic);
-  d.write_u8(core::kFormatVersion);
-  d.write_u8(static_cast<std::uint8_t>(mode));
-  d.write_u64(epoch);
-  d.write_varint(roots.size());
-  for (void* root : roots) {
-    const auto* info = reinterpret_cast<const core::CheckpointInfo*>(
-        static_cast<const char*>(root) + plan.root_info_offset);
-    d.write_varint(info->id());
-  }
-  for (void* root : roots) exec.run(root, d, profile);
-  d.write_u8(core::kEndTag);
+  core::write_stream(d, mode, epoch, roots, root_id(exec.plan()),
+                     [&](void* root) { exec.run(root, d, profile); });
   if (profile != nullptr) profile->epochs += 1;
 }
 
@@ -259,81 +255,26 @@ void run_plan_checkpoint_parallel(io::DataWriter& d, Epoch epoch,
     return;
   }
 
-  const Plan& plan = exec.plan();
-
-  // Work items finer than the worker count so a skewed root range cannot
-  // strand one worker with most of the records; item 0 is a single root so
-  // the deferred header (emitted by the merge cursor just before the first
-  // streamed byte) is unblocked almost immediately. Item-order
-  // concatenation reproduces the serial layout byte for byte.
-  const std::size_t nitems =
-      std::min(nroots, static_cast<std::size_t>(threads) * 4);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  ranges.reserve(nitems);
-  ranges.emplace_back(0, 1);
-  const std::size_t rest = nroots - 1;
-  const std::size_t nrest = nitems - 1;
-  for (std::size_t i = 0; i < nrest; ++i)
-    ranges.emplace_back(1 + i * rest / nrest, 1 + (i + 1) * rest / nrest);
-
-  // Per-item profiles (single writer each: whichever worker claims the
-  // item), folded into *profile after the join — same discipline as
-  // core::ParallelCheckpoint.
-  std::vector<obs::CaptureProfile> item_profiles(
-      profile != nullptr ? nitems : 0);
-
-  auto emit_header = [&](io::DataWriter& w) {
-    w.write_u8(core::kStreamMagic);
-    w.write_u8(core::kFormatVersion);
-    w.write_u8(static_cast<std::uint8_t>(mode));
-    w.write_u64(epoch);
-    w.write_varint(nroots);
-    for (void* root : roots) {
-      const auto* info = reinterpret_cast<const core::CheckpointInfo*>(
-          static_cast<const char*>(root) + plan.root_info_offset);
-      w.write_varint(info->id());
-    }
-  };
-  core::SegmentMerge merge(d, nitems, emit_header);
-
-  auto execute_item = [&](std::size_t i, std::size_t,
-                          io::DataWriter& writer) -> std::size_t {
-    obs::CaptureProfile* sp = profile != nullptr ? &item_profiles[i] : nullptr;
-    const std::size_t before = writer.bytes_written();
-    for (std::size_t r = ranges[i].first; r < ranges[i].second; ++r)
-      exec.run(roots[r], writer, sp);
-    return writer.bytes_written() - before;
-  };
-
-  core::StreamingShardRunner::Options ropts;
+  // Work items finer than the worker count (the generic driver's
+  // granularity) so a skewed root range cannot strand one worker with most
+  // of the records. Plans describe trees, so item-order concatenation
+  // reproduces the serial layout byte for byte.
+  const auto ranges = core::root_ranges(
+      nroots, threads * core::ParallelCheckpoint::kItemsPerThread);
+  core::ShardRunOptions ropts;
   ropts.threads = threads;
-  ropts.backlog_budget =
-      core::StreamingShardRunner::auto_backlog_budget(threads);
-  const core::MergeRunResult rr =
-      core::StreamingShardRunner::run(merge, nitems, ropts, execute_item);
-
-  merge.finish();
-  d.write_u8(core::kEndTag);
-
-  if (profile != nullptr) {
-    using P = obs::CaptureProfile;
-    for (std::size_t i = 0; i < nitems; ++i) {
-      item_profiles[i].shards = 1;
-      if (rr.items[i].direct)
-        item_profiles[i].direct_stream_bytes = rr.items[i].bytes;
-      else
-        item_profiles[i].shard_sink_bytes = rr.items[i].bytes;
-      profile->add(item_profiles[i]);
-    }
-    profile->steal_attempts += rr.steal_attempts;
-    profile->steal_failures += rr.steal_failures;
-    profile->stage_ns[P::kMerge] += rr.merge_ns;
-    profile->stage_ns[P::kMergeWait] += rr.wait_ns;
-    profile->busy_ns += rr.merge_ns + rr.wait_ns;
-    if (rr.buffered_peak_bytes > profile->merge_buffered_peak_bytes)
-      profile->merge_buffered_peak_bytes = rr.buffered_peak_bytes;
-    profile->epochs += 1;
-  }
+  ropts.backlog_budget = core::auto_backlog_budget(threads);
+  core::run_sharded_capture(
+      d,
+      [&](io::DataWriter& w) {
+        core::write_stream_header(w, mode, epoch, roots, root_id(exec.plan()));
+      },
+      ranges.size(), ropts, profile,
+      [&](std::size_t i, io::DataWriter& w, obs::CaptureProfile* prof) {
+        if (prof != nullptr) prof->shards = 1;
+        for (std::size_t r = ranges[i].first; r < ranges[i].second; ++r)
+          exec.run(roots[r], w, prof);
+      });
 }
 
 }  // namespace ickpt::spec

@@ -66,9 +66,10 @@ void run_plan_checkpoint(io::DataWriter& d, Epoch epoch,
                          core::Mode mode = core::Mode::kIncremental,
                          obs::CaptureProfile* profile = nullptr);
 
-/// Sharded variant: partition the roots into contiguous shards, execute the
-/// plan per shard on `threads` workers into private segments, and merge the
-/// segments in shard order behind one stream header. Plans describe trees
+/// Sharded variant: partition the roots into contiguous ranges
+/// (core::root_ranges) and run the plan over them on `threads` workers
+/// through core's sharded driver (core/segment_merge.hpp), which streams
+/// the ranges in order behind one stream header. Plans describe trees
 /// (no cross-root sharing), so the output is byte-identical to
 /// run_plan_checkpoint for every thread count — property-tested alongside
 /// the generic parallel driver. A SpecError raised by any shard (structure

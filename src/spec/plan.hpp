@@ -19,7 +19,8 @@ namespace ickpt::spec {
 enum class OpCode : std::uint8_t {
   /// if !modified(cur.info@a) then ip += b  (skips the record block only).
   kTestSkip,
-  /// write kRecordTag, varint(imm = type_id), varint(id of cur.info@a).
+  /// write a record header (core::write_record_header): type id imm,
+  /// object id of cur.info@a.
   kWriteHeader,
   kWriteU8,    // a = offset
   kWriteBool,  // a = offset

@@ -23,9 +23,7 @@ namespace ickpt::synth::residual {
 /// as the constant V, which specialization proved equal to nvals).
 template <int V>
 inline void record_elem(ListElem& e, io::DataWriter& d) {
-  d.write_u8(core::kRecordTag);
-  d.write_varint(ListElem::kTypeId);
-  d.write_varint(e.info().id());
+  core::write_record_header(d, ListElem::kTypeId, e.info().id());
   d.write_i32(V);
   d.write_i32_run(e.values_data(), V);  // fused, count proven == V
   core::write_child_id(d, e.next());
@@ -42,9 +40,7 @@ inline void record_elem(ListElem& e, io::DataWriter& d) {
 template <int L, int V>
 inline void checkpoint_compound_uniform(Compound& c, io::DataWriter& d) {
   if (c.info().modified()) {
-    d.write_u8(core::kRecordTag);
-    d.write_varint(Compound::kTypeId);
-    d.write_varint(c.info().id());
+    core::write_record_header(d, Compound::kTypeId, c.info().id());
     for (int i = 0; i < Compound::kLists; ++i)
       core::write_child_id(d, c.list(i));
     c.info().reset_modified();
@@ -93,14 +89,10 @@ template <class PerRoot>
 inline void run_residual_checkpoint(io::DataWriter& d, Epoch epoch,
                                     std::span<Compound* const> roots,
                                     PerRoot&& per_root) {
-  d.write_u8(core::kStreamMagic);
-  d.write_u8(core::kFormatVersion);
-  d.write_u8(static_cast<std::uint8_t>(core::Mode::kIncremental));
-  d.write_u64(epoch);
-  d.write_varint(roots.size());
-  for (const Compound* c : roots) d.write_varint(c->info().id());
-  for (Compound* c : roots) per_root(*c, d);
-  d.write_u8(core::kEndTag);
+  core::write_stream(
+      d, core::Mode::kIncremental, epoch, roots,
+      [](const Compound* c) { return c->info().id(); },
+      [&](Compound* c) { per_root(*c, d); });
 }
 
 }  // namespace ickpt::synth::residual

@@ -108,10 +108,9 @@ Report check_graph(std::span<core::Checkpointable* const> roots,
   opts.dry_run = true;
   opts.cycle_guard = true;  // termination on cyclic graphs + revisit events
   opts.hooks = &hooks;
-  core::Checkpoint walker(writer, 0, roots, opts);
+  core::Checkpoint walker(writer, opts);
   for (core::Checkpointable* root : roots)
     if (root != nullptr) walker.checkpoint(*root);
-  walker.end();
 
   std::ostringstream summary;
   summary << objects << " object(s) under " << roots.size() << " root(s): "

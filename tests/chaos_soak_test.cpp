@@ -191,7 +191,7 @@ class ChaosSoakTest : public ::testing::Test {
     opts.fault_policy = policy;
     opts.retry.max_attempts = 3;
     opts.retry.initial_backoff = std::chrono::microseconds{0};
-    opts.retry_jitter_seed = 0xC0FFEE;
+    opts.retry.jitter_seed = 0xC0FFEE;
     opts.heal.enabled = true;
     opts.heal.reheal_after = 2;
     opts.heal.append_retries = 1;

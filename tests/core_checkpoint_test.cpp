@@ -157,18 +157,6 @@ TEST(CheckpointDriver, EndTagTerminatesStream) {
   EXPECT_EQ(bytes.back(), core::kEndTag);
 }
 
-TEST(CheckpointDriver, EndTwiceThrows) {
-  Graph g = Graph::make();
-  auto roots = g.roots();
-  io::VectorSink sink;
-  io::DataWriter w(sink);
-  Checkpoint c(w, 0, std::span<core::Checkpointable* const>(roots),
-               {.mode = Mode::kFull});
-  c.checkpoint(*g.root);
-  c.end();
-  EXPECT_THROW(c.end(), Error);
-}
-
 TEST(CheckpointDriver, MultipleRootsInOrder) {
   core::Heap heap;
   Leaf* a = heap.make<Leaf>();

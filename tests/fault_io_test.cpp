@@ -278,10 +278,10 @@ TEST_F(FaultIoTest, BackoffJitterIsDeterministicPerSeedAndBounded) {
 }
 
 TEST_F(FaultIoTest, ManagerPlumbsJitterSeedIntoRetries) {
-  // retry_jitter_seed reaches the storage retry path: two transient
-  // failures are absorbed exactly as with the classic schedule (the jitter
-  // only shortens the waits — it must never turn a retryable failure into
-  // a hard one).
+  // The manager's retry.jitter_seed reaches the storage retry path: two
+  // transient failures are absorbed exactly as with the classic schedule
+  // (the jitter only shortens the waits — it must never turn a retryable
+  // failure into a hard one).
   core::TypeRegistry registry;
   register_test_types(registry);
   ScriptedFaultPolicy policy(FaultKind::kTransient, 0, EINTR,
@@ -291,7 +291,7 @@ TEST_F(FaultIoTest, ManagerPlumbsJitterSeedIntoRetries) {
   core::ManagerOptions opts;
   opts.fault_policy = &policy;
   opts.retry.initial_backoff = std::chrono::microseconds{1};
-  opts.retry_jitter_seed = 0x5EED;
+  opts.retry.jitter_seed = 0x5EED;
   core::CheckpointManager manager(path_, opts);
   leaf->set_i32(7);
   EXPECT_EQ(manager.take(*leaf).seq, 0u);
