@@ -17,7 +17,7 @@
 #include <random>
 
 #include "core/checkpointable.hpp"
-#include "core/inspect.hpp"
+#include "core/log_ops.hpp"
 #include "core/manager.hpp"
 #include "io/stable_storage.hpp"
 #include "spec/adaptive.hpp"

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <iterator>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/parallel_checkpoint.hpp"
-#include "core/recovery_note.hpp"
-#include "core/retention.hpp"
 #include "io/byte_sink.hpp"
-#include "io/file_io.hpp"
 #include "io/data_writer.hpp"
 #include "obs/trace.hpp"
 
@@ -69,36 +63,7 @@ Epoch chain_next_epoch(const std::string& path) {
   return next;
 }
 
-std::string not_retained_message(const std::string& path, Epoch target,
-                                 std::optional<Epoch> below,
-                                 std::optional<Epoch> above) {
-  std::string msg = "epoch " + std::to_string(target) +
-                    " is not retained on '" + path + "'";
-  if (below.has_value() && above.has_value()) {
-    msg += "; nearest retained epochs: " + std::to_string(*below) +
-           " (below) and " + std::to_string(*above) + " (above)";
-  } else if (below.has_value()) {
-    msg += "; nearest retained epoch: " + std::to_string(*below) +
-           " (below), none above";
-  } else if (above.has_value()) {
-    msg += "; nearest retained epoch: " + std::to_string(*above) +
-           " (above), none below";
-  } else {
-    msg += "; the log holds no parseable epochs at all";
-  }
-  return msg + " — run `ickptctl history` for the full retained set";
-}
-
 }  // namespace
-
-EpochNotRetainedError::EpochNotRetainedError(const std::string& path,
-                                             Epoch target,
-                                             std::optional<Epoch> below,
-                                             std::optional<Epoch> above)
-    : CorruptionError(not_retained_message(path, target, below, above)),
-      target_(target),
-      below_(below),
-      above_(above) {}
 
 CheckpointManager::CheckpointManager(std::string path, ManagerOptions opts)
     : opts_(std::move(opts)),
@@ -517,522 +482,6 @@ std::uint64_t CheckpointManager::heal_append_failure(
                 std::to_string(opts_.heal.rotate_attempts) +
                 " rotation attempt(s) exhausted (last error: " + last_error_ +
                 ")");
-}
-
-namespace {
-
-/// Index the log without materializing payloads (io::index_frames), under
-/// the recovery's scan span and counters. Holding a few dozen bytes per
-/// frame instead of payloads is what bounds recovery memory by the largest
-/// frame rather than the log size.
-io::FrameIndex index_log(const std::string& path,
-                         const io::ScanOptions& sopts) {
-  obs::Span span("storage.scan", "io");
-  io::FrameIndex index = io::index_frames(path, sopts, stream_header_probe());
-  // recover() used to obtain its frames through StableStorage::scan, which
-  // feeds the scan counters; keep feeding them now that it streams the log
-  // itself (ickptctl stats --self-test checks these stay live). Cold path:
-  // per-call lookups are fine.
-  obs::counter("ickpt_scans_total",
-               {{"result", index.clean ? "clean" : "damaged"}})
-      .inc();
-  obs::counter("ickpt_scan_frames_total").inc(index.frames.size());
-  if (index.regions_skipped > 0)
-    obs::counter("ickpt_scan_corrupt_regions_total")
-        .inc(index.regions_skipped);
-  if (index.bytes_skipped > 0)
-    obs::counter("ickpt_scan_bytes_skipped_total").inc(index.bytes_skipped);
-  return index;
-}
-
-/// A frame that can anchor a window: its stream header parsed as full.
-bool is_full(const io::IndexedFrame& f) {
-  return f.header_ok && static_cast<Mode>(f.mode) == Mode::kFull;
-}
-
-/// Replay frames [begin, end) of the indexed log at `path` into a fresh
-/// Recovery. Each attempt opens the log at the window's full checkpoint —
-/// the offset the index recorded; a window never crosses a salvage resync,
-/// so that is a valid frame boundary — and decodes one payload at a time.
-/// Every frame still passes the iterator's magic and CRC tests and must be
-/// the frame the index recorded at that position. On a decode failure
-/// *after* the full checkpoint, trims the window at the failing frame and
-/// replays — the surviving prefix is still consistent (recovery applies
-/// frames in order, so frames before the bad one are unaffected by it).
-/// Returns false when the full checkpoint itself is undecodable. Trims are
-/// collected into `note`; `records` receives the record count of the
-/// finally-applied window; `passes` counts the log opens.
-bool apply_window(const std::string& path, const io::FrameIndex& index,
-                  std::size_t begin, std::size_t end_limit,
-                  const TypeRegistry& registry, RecoveredState& out,
-                  std::size_t& applied, RecoveryNote& note,
-                  std::size_t& records, std::size_t& passes) {
-  std::size_t end = end_limit;
-  while (end > begin) {
-    Recovery recovery(registry);
-    std::size_t at = begin;
-    std::string what;
-    bool failed = false;
-    ApplyStats window_stats;
-    {
-      io::FrameIterator it(path, {}, index.frames[begin].offset);
-      ++passes;
-      io::Frame frame;
-      for (; at < end; ++at) {
-        const io::IndexedFrame& want = index.frames[at];
-        if (!it.next(frame) || frame.offset != want.offset ||
-            frame.seq != want.seq)
-          throw CorruptionError("log '" + path +
-                                "' changed while recovering from it: frame "
-                                "seq " +
-                                std::to_string(want.seq) + " at byte " +
-                                std::to_string(want.offset) +
-                                " no longer reads back");
-        try {
-          io::DataReader reader(frame.payload);
-          ApplyStats frame_stats;
-          recovery.apply(reader, &frame_stats);
-          window_stats.records += frame_stats.records;
-        } catch (const Error& e) {
-          failed = true;
-          what = e.what();
-          break;
-        }
-      }
-    }
-    if (!failed) {
-      try {
-        out = recovery.finish();
-        applied = end - begin;
-        records = window_stats.records;
-        return true;
-      } catch (const Error& e) {
-        // A dangling link etc. — dropping the last frame may close the
-        // window again.
-        failed = true;
-        what = e.what();
-        at = end - 1;
-      }
-    }
-    if (at == begin) return false;
-    note.trims.push_back(
-        RecoveryNote::Trim{index.frames[at].seq, what, end_limit - at});
-    end = at;
-  }
-  return false;
-}
-
-/// Recover from one log file (no generation walking); the member recover()
-/// wraps this with the fall-back across quarantined generations. `shared`,
-/// when given, is the index of `path` built with opts.salvage: compaction
-/// builds it once for all its recoveries. Otherwise this builds its own.
-RecoverResult recover_one(const std::string& path,
-                          const TypeRegistry& registry, RecoverOptions opts,
-                          const io::FrameIndex* shared = nullptr) {
-  obs::Span span("checkpoint.recover", "recovery");
-
-  // Pass 1: index the log without materializing payloads.
-  io::FrameIndex own;
-  if (shared == nullptr) own = index_log(path, {.salvage = opts.salvage});
-  const io::FrameIndex& index = shared != nullptr ? *shared : own;
-  std::size_t passes = shared != nullptr ? 0 : 1;
-
-  // Time-travel: locate the newest parseable frame carrying the target
-  // epoch. Its absence is an EpochNotRetainedError naming the nearest
-  // parseable neighbors — never a silent fall-forward to different state.
-  std::optional<std::size_t> target_at;
-  if (opts.target_epoch.has_value()) {
-    const Epoch target = *opts.target_epoch;
-    target_at = index.find_epoch(target);
-    if (!target_at.has_value())
-      throw EpochNotRetainedError(path, target, index.nearest_below(target),
-                                  index.nearest_above(target));
-  }
-  if (index.frames.empty())
-    throw CorruptionError("no recoverable checkpoint in '" + path + "'" +
-                          (index.clean ? "" : " (" + index.stop_reason + ")"));
-
-  RecoverResult result;
-  result.recovered_path = path;
-  result.log_clean = index.clean;
-  result.frames_total = index.frames.size();
-  result.corrupt_regions = index.regions_skipped;
-  result.bytes_skipped = index.bytes_skipped;
-  result.damage_offset = index.stop_offset;
-
-  RecoveryNote note;
-  if (!index.clean) {
-    note.stop_reason = index.stop_reason;
-    note.damage_offset = index.stop_offset;
-    note.regions_skipped = index.regions_skipped;
-    note.bytes_skipped = index.bytes_skipped;
-    obs::instant("recover.salvage", "recovery",
-                 index.stop_reason + " at byte " +
-                     std::to_string(index.stop_offset) + ", " +
-                     std::to_string(index.regions_skipped) +
-                     " region(s) skipped");
-  }
-
-  // Contiguous runs of frames: a corrupt region (resync frame) starts a new
-  // segment. Incrementals can only be applied onto a full checkpoint from
-  // the *same* segment — across a gap, deltas may be missing.
-  std::vector<std::size_t> starts{0};
-  for (std::size_t i = 1; i < index.frames.size(); ++i)
-    if (index.frames[i].resync) starts.push_back(i);
-  starts.push_back(index.frames.size());
-
-  // Candidate ranges [segment begin, window end), newest first. Time travel
-  // has one: the target's segment, ending right after the target's frame.
-  // Otherwise the newest usable window wins: every segment from the back,
-  // each ending at the segment's end.
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  if (target_at.has_value()) {
-    const auto seg = std::upper_bound(starts.begin(), starts.end(), *target_at);
-    ranges.emplace_back(*std::prev(seg), *target_at + 1);
-  } else {
-    for (std::size_t s = starts.size() - 1; s-- > 0;)
-      ranges.emplace_back(starts[s], starts[s + 1]);
-  }
-
-  // Inside a range, prefer the latest full checkpoint. Pass 2..n: each
-  // candidate window opens the log at its full checkpoint (frame payloads
-  // decoded one at a time).
-  bool recovered = false;
-  bool saw_empty_window = false;
-  std::size_t records_applied = 0;
-  for (const auto& [seg_begin, end_limit] : ranges) {
-    for (std::size_t i = end_limit; i-- > seg_begin && !recovered;) {
-      if (!is_full(index.frames[i])) continue;
-      std::size_t applied = 0;
-      obs::Span apply_span("recover.apply_window", "recovery");
-      if (!apply_window(path, index, i, end_limit, registry, result.state,
-                        applied, note, records_applied, passes))
-        continue;
-      // The window's frames may decode but hold no object records (e.g. a
-      // bare stream header): never return an empty graph as recovered
-      // state. And apply_window trims damaged tails; a trimmed window no
-      // longer reaches a time-travel target, and time travel must never
-      // report success with a different epoch's state.
-      const bool empty =
-          result.state.by_id.empty() && result.state.roots.empty();
-      if (empty || (target_at.has_value() &&
-                    result.state.epoch != *opts.target_epoch)) {
-        saw_empty_window = saw_empty_window || empty;
-        result.state = RecoveredState{};
-        continue;
-      }
-      result.checkpoints_applied = applied;
-      recovered = true;
-    }
-    if (recovered) break;
-  }
-  result.stream_passes = passes;
-  if (!recovered) {
-    if (target_at.has_value())
-      throw CorruptionError(
-          "epoch " + std::to_string(*opts.target_epoch) + " is on log '" +
-          path +
-          "' but no undamaged window reaches it (its full-checkpoint anchor "
-          "or an intervening delta is unreadable)");
-    if (saw_empty_window)
-      throw CorruptionError(
-          "log '" + path +
-          "' contains only empty checkpoint frames (stream headers with no "
-          "object records) — nothing to recover; restore the log or recover "
-          "from an older generation");
-    throw CorruptionError("log '" + path +
-                          "' contains no usable full checkpoint" +
-                          (index.clean ? "" : " (" + index.stop_reason + ")"));
-  }
-
-  result.frames_dropped = result.frames_total - result.checkpoints_applied;
-  note.frames_outside_window = result.frames_dropped;
-  result.log_note = note.render();
-
-  obs::counter("ickpt_recoveries_total",
-               {{"log", index.clean ? "clean" : "damaged"}})
-      .inc();
-  // Deltas replayed on top of the window's full-checkpoint anchor. For
-  // time-travel recoveries this is the quantity RetentionPolicy bounds
-  // (strictly below 2*granularity(age)); for newest-state recoveries it
-  // tracks full_interval. Cold path, per-call lookup.
-  if (result.checkpoints_applied > 0)
-    obs::histogram("ickpt_recover_replay_depth")
-        .observe(static_cast<double>(result.checkpoints_applied - 1));
-  obs::counter("ickpt_recover_frames_total", {{"result", "applied"}})
-      .inc(result.checkpoints_applied);
-  obs::counter("ickpt_recover_frames_total", {{"result", "dropped"}})
-      .inc(result.frames_dropped);
-  obs::counter("ickpt_recover_records_total").inc(records_applied);
-  if (result.corrupt_regions > 0) {
-    obs::counter("ickpt_recover_salvage_regions_total")
-        .inc(result.corrupt_regions);
-    obs::counter("ickpt_recover_salvage_bytes_total")
-        .inc(result.bytes_skipped);
-  }
-  if (span.active())
-    span.note(std::to_string(result.checkpoints_applied) +
-              " checkpoint(s) applied, " +
-              std::to_string(result.state.by_id.size()) + " object(s); " +
-              note.trace_note());
-  return result;
-}
-
-}  // namespace
-
-RecoverResult CheckpointManager::recover(const std::string& path,
-                                         const TypeRegistry& registry,
-                                         RecoverOptions opts) {
-  // Neighbor knowledge accumulated across the chain while a target epoch is
-  // being hunted: the best lower neighbor is the max over files, the best
-  // upper the min — so the final EpochNotRetainedError names the tightest
-  // bracket any file can offer.
-  std::optional<Epoch> below;
-  std::optional<Epoch> above;
-  bool target_found_damaged = false;
-  std::exception_ptr damaged_failure;
-  auto note_failure = [&](const CorruptionError& e) {
-    if (const auto* missing = dynamic_cast<const EpochNotRetainedError*>(&e)) {
-      if (missing->below() && (!below || *missing->below() > *below))
-        below = missing->below();
-      if (missing->above() && (!above || *missing->above() < *above))
-        above = missing->above();
-    } else if (opts.target_epoch.has_value()) {
-      // The file carried the target but its window is damaged: if nothing
-      // recovers, report the damage, not "not retained".
-      target_found_damaged = true;
-      damaged_failure = std::current_exception();
-    }
-  };
-  std::exception_ptr live_failure;
-  std::string live_error;
-  try {
-    return recover_one(path, registry, opts);
-  } catch (const CorruptionError& e) {
-    if (!opts.walk_generations) throw;
-    note_failure(e);
-    live_failure = std::current_exception();
-    live_error = e.what();
-  }
-  // The live log yielded nothing usable. Rotation preserves damaged
-  // generations as `<path>.quarantine.<n>`; walk them newest first — the
-  // newest one that still holds a usable full window wins.
-  const std::vector<std::string> chain =
-      io::StableStorage::generation_chain(path);
-  std::size_t tried = 1;
-  for (const std::string& gen : chain) {
-    ++tried;
-    try {
-      RecoverResult result = recover_one(gen, registry, opts);
-      result.recovered_path = gen;
-      result.generations_tried = tried;
-      result.log_clean = false;  // the chain as a whole carried damage
-      result.log_note = "live log unusable (" + live_error +
-                        "); recovered from quarantined generation '" + gen +
-                        "'" +
-                        (result.log_note.empty() ? ""
-                                                 : "; " + result.log_note);
-      obs::counter("ickpt_recover_generation_fallbacks_total").inc();
-      obs::instant("recover.generation_fallback", "recovery", gen);
-      return result;
-    } catch (const CorruptionError& e) {
-      // Fall through to the next (older) generation.
-      note_failure(e);
-    }
-  }
-  if (opts.target_epoch.has_value()) {
-    // The whole chain was consulted. Damage outranks absence: a file that
-    // held the target but could not replay it is the actionable failure.
-    if (target_found_damaged) std::rethrow_exception(damaged_failure);
-    throw EpochNotRetainedError(path, *opts.target_epoch, below, above);
-  }
-  if (chain.empty()) std::rethrow_exception(live_failure);
-  throw CorruptionError(
-      "no recoverable checkpoint on the generation chain of '" + path +
-      "' (" + std::to_string(tried) + " file(s) tried; live log: " +
-      live_error + ")");
-}
-
-RecoverResult CheckpointManager::recover_to_epoch(const std::string& path,
-                                                  const TypeRegistry& registry,
-                                                  Epoch target,
-                                                  RecoverOptions opts) {
-  opts.target_epoch = target;
-  return recover(path, registry, opts);
-}
-
-std::vector<HistoryEntry> CheckpointManager::history(const std::string& path) {
-  std::vector<HistoryEntry> out;
-  auto list_file = [&out](const std::string& file, bool live) {
-    const io::FrameIndex index =
-        io::index_frames(file, {.salvage = true}, stream_header_probe());
-    // Newest frame per epoch within a file wins (a rebase can rewrite an
-    // epoch); walk backwards and keep first-seen.
-    std::vector<Epoch> seen;
-    for (std::size_t i = index.frames.size(); i-- > 0;) {
-      const io::IndexedFrame& f = index.frames[i];
-      if (!f.header_ok) continue;
-      if (std::find(seen.begin(), seen.end(), f.epoch) != seen.end())
-        continue;
-      seen.push_back(f.epoch);
-      HistoryEntry entry;
-      entry.epoch = f.epoch;
-      entry.mode = static_cast<Mode>(f.mode);
-      entry.seq = f.seq;
-      entry.bytes = f.payload_bytes;
-      entry.file = file;
-      entry.live = live;
-      entry.resync = f.resync;
-      out.push_back(entry);
-    }
-  };
-  list_file(path, true);
-  for (const std::string& gen : io::StableStorage::generation_chain(path))
-    list_file(gen, false);
-  std::stable_sort(out.begin(), out.end(),
-                   [](const HistoryEntry& a, const HistoryEntry& b) {
-                     if (a.epoch != b.epoch) return a.epoch < b.epoch;
-                     return a.live && !b.live;
-                   });
-  return out;
-}
-
-namespace {
-
-/// Serialize `state` as one full-checkpoint payload carrying its epoch.
-std::vector<std::uint8_t> full_payload_of(RecoveredState& state) {
-  std::vector<Checkpointable*> roots;
-  roots.reserve(state.roots.size());
-  for (ObjectId id : state.roots) {
-    Checkpointable* obj = state.find(id);
-    if (obj == nullptr)
-      throw CorruptionError("compaction: root vanished during recovery");
-    roots.push_back(obj);
-  }
-  io::VectorSink sink;
-  {
-    io::DataWriter writer(sink);
-    CheckpointOptions copts;
-    copts.mode = Mode::kFull;
-    Checkpoint::run(writer, state.epoch, roots, copts);
-    writer.flush();
-  }
-  return sink.take();
-}
-
-}  // namespace
-
-CompactResult CheckpointManager::compact(const std::string& path,
-                                         const TypeRegistry& registry,
-                                         CompactOptions opts) {
-  obs::Span span("checkpoint.compact", "checkpoint");
-  const bool binomial = opts.policy == CompactPolicy::kBinomial;
-  obs::Histogram compact_seconds = obs::histogram("ickpt_compact_seconds");
-  const bool timed = compact_seconds.live();
-  std::chrono::steady_clock::time_point t0;
-  if (timed) t0 = std::chrono::steady_clock::now();
-
-  CompactResult result;
-  result.bytes_before = io::file_size(path);
-
-  // The replacement log is built in a sibling file and atomically published
-  // over the original: temp write + fsync + rename + directory fsync. A
-  // crash anywhere before the rename loses only the compaction; the
-  // original log is not touched until then (recovery reads it while the
-  // replacement grows).
-  const std::string tmp_path = path + ".compact";
-  std::remove(tmp_path.c_str());  // stale leftover of a crashed compaction
-  Epoch newest = 0;
-  {
-    io::StableStorage fresh(tmp_path,
-                            io::StorageOptions{.durable = true,
-                                               .fault = opts.fault});
-    if (binomial) {
-      // Which epochs does the schedule want, of the ones actually here?
-      // Only the live log is rewritten — quarantined generations are
-      // post-mortem artifacts, not subject to retention. This one index
-      // also serves every retained epoch's recovery below, each of which
-      // opens the log at its own window.
-      RecoverOptions ropts;
-      const io::FrameIndex index = index_log(path, {.salvage = ropts.salvage});
-      const std::vector<Epoch> present = index.epochs();
-      if (present.empty())
-        throw CorruptionError("no parseable epochs on '" + path +
-                              "' to retain");
-      newest = present.back();
-      std::vector<Epoch> targets;
-      for (Epoch e : RetentionPolicy::schedule(newest)) {
-        if (std::binary_search(present.begin(), present.end(), e))
-          targets.push_back(e);
-      }
-      // Materialize each retained epoch as a full frame with seq == epoch:
-      // every retained epoch then recovers in one frame, and epoch
-      // numbering (epoch_ = next_seq()) resumes correctly past the rewrite.
-      // O(log n) recoveries of the unchanged original log, oldest first.
-      for (Epoch e : targets) {
-        ropts.target_epoch = e;
-        RecoveredState state;
-        try {
-          state = recover_one(path, registry, ropts, &index).state;
-        } catch (const CorruptionError&) {
-          // A scheduled epoch whose window is damaged cannot be carried
-          // forward; drop it rather than fail the whole compaction.
-          ++result.epochs_dropped;
-          continue;
-        }
-        const std::vector<std::uint8_t> payload = full_payload_of(state);
-        result.objects = state.by_id.size();  // newest survives the loop
-        fresh.set_next_seq(e);
-        fresh.append(payload);
-        result.retained.push_back(e);
-      }
-      if (result.retained.empty())
-        throw CorruptionError("policy compaction of '" + path +
-                              "': no scheduled epoch is recoverable");
-    } else {
-      RecoverResult recovered = recover(path, registry);
-      result.objects = recovered.state.by_id.size();
-      newest = recovered.state.epoch;
-      const std::vector<std::uint8_t> payload =
-          full_payload_of(recovered.state);
-      result.bytes_after = payload.size();
-      fresh.set_next_seq(newest);
-      fresh.append(payload);
-      result.retained.push_back(newest);
-    }
-  }
-  io::rename_durable(tmp_path, path);
-  if (binomial) {
-    result.bytes_after = io::file_size(path);
-    // Declare what was kept. Published after the log so a crash between the
-    // two leaves a *stale* manifest — safe by schedule monotonicity (a
-    // newer schedule only drops epochs the stale one already declared), and
-    // exactly what fsck's retention audit checks for.
-    RetentionManifest manifest;
-    manifest.newest = newest;
-    manifest.epochs = result.retained;
-    manifest.save(path);
-    obs::gauge("ickpt_retained_epochs")
-        .set(static_cast<std::int64_t>(result.retained.size()));
-  } else {
-    // A squashed log has no history; a leftover declaration would make
-    // fsck audit the fresh single-frame log against a dead schedule.
-    RetentionManifest::remove(path);
-  }
-  obs::counter("ickpt_compacts_total",
-               {{"policy", binomial ? "binomial" : "squash"}})
-      .inc();
-  if (timed)
-    compact_seconds.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  if (span.active())
-    span.note(std::to_string(result.objects) + " object(s), " +
-              std::to_string(result.bytes_before) + " -> " +
-              std::to_string(result.bytes_after) + " byte(s), " +
-              std::to_string(result.retained.size()) +
-              " epoch(s) retained");
-  return result;
 }
 
 }  // namespace ickpt::core

@@ -2,23 +2,12 @@
 // stable storage.
 //
 // Policy: the first checkpoint and every `full_interval`-th one are full;
-// the rest are incremental. recover() locates the most recent *usable* full
-// checkpoint and replays it plus every incremental after it, streaming the
-// log: one pass builds a payload-free index (io::FrameIndex: seq, offset,
-// mode, epoch, segment boundaries), then each replay attempt seeks to the
-// chosen window's full checkpoint at the offset the index recorded and
-// decodes the window's frames one at a time — the bytes before the window
-// are never read again, and peak memory is O(largest frame), not O(log
-// size). With salvage enabled (the default) a mid-log corrupt frame no
-// longer truncates the whole suffix: the scan resynchronizes past the
-// damage, and recovery picks the newest checkpoint window that is
-// contiguous (no corrupt region between its full checkpoint and its last
-// incremental) — so damage costs at most one window, never checkpoints
-// that a later full supersedes. A binomial compact() builds the index once
-// and runs every retained epoch's recovery against it.
+// the rest are incremental. The manager is the log's writer — capture,
+// framing, append and the degradation ladder. Reading a closed log
+// (recover, recover_to_epoch, history, compact) is core/log_ops.hpp's job;
+// those static entry points are declared here and defined there.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +15,7 @@
 #include "core/async_log.hpp"
 #include "core/checkpoint.hpp"
 #include "core/health.hpp"
+#include "core/log_ops.hpp"
 #include "core/recovery.hpp"
 #include "io/byte_sink.hpp"
 #include "io/stable_storage.hpp"
@@ -81,119 +71,6 @@ struct TakeResult {
   std::uint64_t seq = 0;
   std::size_t bytes = 0;
   CheckpointStats stats;
-};
-
-struct RecoverOptions {
-  /// Resynchronize past mid-log corruption instead of truncating the log at
-  /// the first bad byte.
-  bool salvage = true;
-  /// When the live log yields no usable window, fall back across the
-  /// quarantined generations (`<path>.quarantine.<n>`, newest first) that
-  /// rotation left behind, instead of failing immediately.
-  bool walk_generations = true;
-  /// Time-travel target: recover the state as of exactly this epoch instead
-  /// of the newest one — the newest full checkpoint <= target anchors the
-  /// window and the deltas replay up to (and including) the target's frame.
-  /// A target not present on the log (chain) fails with
-  /// EpochNotRetainedError naming the nearest retained neighbors; recovery
-  /// never silently returns a different epoch's state.
-  std::optional<Epoch> target_epoch;
-};
-
-/// Thrown when a requested target epoch is not on the log (or anywhere on
-/// its generation chain): either the retention policy dropped it or it was
-/// never taken. Carries the nearest epochs that *are* present so callers
-/// (and the CLI) can offer them — a wrong-state success is never an option.
-class EpochNotRetainedError : public CorruptionError {
- public:
-  EpochNotRetainedError(const std::string& path, Epoch target,
-                        std::optional<Epoch> below,
-                        std::optional<Epoch> above);
-
-  [[nodiscard]] Epoch target() const noexcept { return target_; }
-  /// Largest retained epoch < target, if any.
-  [[nodiscard]] std::optional<Epoch> below() const noexcept { return below_; }
-  /// Smallest retained epoch > target, if any.
-  [[nodiscard]] std::optional<Epoch> above() const noexcept { return above_; }
-
- private:
-  Epoch target_;
-  std::optional<Epoch> below_;
-  std::optional<Epoch> above_;
-};
-
-struct RecoverResult {
-  RecoveredState state;
-  /// The file the state actually came from: the live log, or a quarantined
-  /// generation when the live one had no usable window.
-  std::string recovered_path;
-  /// Files consulted before one yielded a usable window (1 = live log).
-  std::size_t generations_tried = 1;
-  std::size_t checkpoints_applied = 0;
-  /// False when the log carried damage (torn tail or mid-log corruption).
-  bool log_clean = true;
-  /// Structured description of the damage and what salvage did (empty when
-  /// the log is clean).
-  std::string log_note;
-  /// Valid frames the scan produced (including ones outside the applied
-  /// window).
-  std::size_t frames_total = 0;
-  /// Valid frames that could not be applied: stranded behind a corrupt
-  /// region without a usable full checkpoint, superseded trims, etc.
-  std::size_t frames_dropped = 0;
-  /// Corrupt regions salvage skipped, and the bytes inside them.
-  std::size_t corrupt_regions = 0;
-  std::uint64_t bytes_skipped = 0;
-  /// Byte offset where the first damage begins (valid when !log_clean).
-  std::uint64_t damage_offset = 0;
-  /// Times the log was opened for streaming: one indexing pass plus one per
-  /// replay attempt, which starts at its window's full checkpoint (a clean
-  /// log recovers in exactly 2). Recovery memory is O(largest frame)
-  /// regardless of log size — frame payloads are never materialized
-  /// together.
-  std::size_t stream_passes = 0;
-};
-
-/// What a compaction keeps. kSquashAll is the original garbage collection:
-/// one full checkpoint of the newest state, history gone. kBinomial rewrites
-/// the log to the RetentionPolicy schedule — every retained epoch
-/// materialized as a full frame (seq == epoch), O(log n) frames total — and
-/// declares the result in a `<log>.retain` manifest for fsck to audit.
-enum class CompactPolicy : std::uint8_t { kSquashAll, kBinomial };
-
-struct CompactOptions {
-  CompactPolicy policy = CompactPolicy::kSquashAll;
-  /// Fault injection for the replacement log's writes (tests).
-  io::FaultPolicy* fault = nullptr;
-};
-
-struct CompactResult {
-  /// Objects in the newest surviving full checkpoint.
-  std::size_t objects = 0;
-  /// Size of the log file before the rewrite (0 when it did not exist).
-  std::size_t bytes_before = 0;
-  /// kBinomial: size of the rewritten log file. kSquashAll: size of the
-  /// one full payload it holds, without the 20-byte frame header.
-  std::size_t bytes_after = 0;
-  /// Epochs the rewritten log carries, ascending ({newest} for kSquashAll).
-  std::vector<Epoch> retained;
-  /// kBinomial: scheduled epochs that could not be recovered (damaged
-  /// windows) and were therefore dropped from the rewrite.
-  std::size_t epochs_dropped = 0;
-};
-
-/// One epoch visible on a log's generation chain (CheckpointManager::
-/// history): where its newest frame lives and how it was written.
-struct HistoryEntry {
-  Epoch epoch = 0;
-  Mode mode = Mode::kFull;
-  std::uint64_t seq = 0;
-  std::size_t bytes = 0;
-  /// The file holding the frame (live log or a quarantined generation).
-  std::string file;
-  bool live = true;
-  /// A corrupt region precedes this frame (its window may be damaged).
-  bool resync = false;
 };
 
 class CheckpointManager {
@@ -253,25 +130,24 @@ class CheckpointManager {
   /// background append failure (never swallowed).
   void flush();
 
-  /// Recover the latest consistent state from a log file. When the live
-  /// log has no usable window and opts.walk_generations is set, falls back
+  /// Recover the latest consistent state from a log file, salvaging past
+  /// mid-log corruption. When the live log has no usable window, falls back
   /// across the quarantined generations rotation left behind (newest
   /// first). Throws CorruptionError when no file on the chain yields a
   /// usable full checkpoint — never returns a partial graph.
   static RecoverResult recover(const std::string& path,
-                               const TypeRegistry& registry,
-                               RecoverOptions opts = {});
+                               const TypeRegistry& registry);
 
-  /// Time-travel: recover the state as of exactly epoch `target`.
-  /// Equivalent to recover() with opts.target_epoch set — the newest full
-  /// checkpoint <= target anchors the window, deltas replay up to the
-  /// target's frame, and the generation chain is walked when the live log
-  /// does not hold the target. Throws EpochNotRetainedError (naming the
-  /// nearest retained neighbors) when no file on the chain carries the
-  /// target, CorruptionError when it is present but its window is damaged.
+  /// Time-travel: recover the state as of exactly epoch `target` — the
+  /// newest full checkpoint <= target anchors the window, deltas replay up
+  /// to the target's frame, and the generation chain is walked when the
+  /// live log does not hold the target. Throws EpochNotRetainedError
+  /// (naming the nearest retained neighbors) when no file on the chain
+  /// carries the target, CorruptionError when it is present but its window
+  /// is damaged; never returns a different epoch's state.
   static RecoverResult recover_to_epoch(const std::string& path,
                                         const TypeRegistry& registry,
-                                        Epoch target, RecoverOptions opts = {});
+                                        Epoch target);
 
   /// Every epoch visible on the chain of `path` (live log first, then
   /// quarantined generations), ascending by epoch; within an epoch the live
@@ -281,18 +157,18 @@ class CheckpointManager {
   static std::vector<HistoryEntry> history(const std::string& path);
 
   /// Rewrite `path` per CompactOptions::policy: kSquashAll (the default)
-  /// keeps one full checkpoint of the newest state (checkpoint-log garbage
-  /// collection, removing any `<path>.retain` manifest); kBinomial keeps the
-  /// RetentionPolicy schedule — each retained epoch recovered and rewritten
-  /// as a full frame with seq == epoch — and publishes the `<path>.retain`
-  /// manifest. kBinomial indexes the log once and recovers every retained
-  /// epoch against that index, each opening the log at its own window, so
-  /// it reads the log once plus each window; memory stays O(largest frame)
-  /// plus one recovered state. Crash-atomic either way: the replacement is
-  /// built in `<path>.compact`, fsynced, and renamed over the log (with a
-  /// directory fsync) — a crash at any point loses at most the compaction,
-  /// never the original log. Must not be called while a manager has the
-  /// log open.
+  /// keeps one full checkpoint of the newest usable state (checkpoint-log
+  /// garbage collection, removing any `<path>.retain` manifest); kBinomial
+  /// keeps the RetentionPolicy schedule's epochs that are on the log and
+  /// publishes the `<path>.retain` manifest. Each kept state is recovered
+  /// and rewritten as a full frame with seq == epoch. Both policies read
+  /// only the live log — never a quarantined generation: it is indexed
+  /// once, and every kept state's recovery opens it at its own window, so
+  /// memory stays O(largest frame) plus one recovered state. Crash-atomic
+  /// either way: the replacement is built in `<path>.compact`, fsynced, and
+  /// renamed over the log (with a directory fsync) — a crash at any point
+  /// loses at most the compaction, never the original log. Must not be
+  /// called while a manager has the log open.
   static CompactResult compact(const std::string& path,
                                const TypeRegistry& registry,
                                CompactOptions opts = {});
@@ -300,8 +176,8 @@ class CheckpointManager {
  private:
   /// Handles into the installed obs::Registry, captured at construction
   /// (null no-op handles when none is installed — the whole struct then
-  /// costs one pointer test per use). recover()/compact() are static and
-  /// look their handles up per call instead.
+  /// costs one pointer test per use). The static log operations look their
+  /// handles up per call instead.
   struct Metrics {
     Metrics();
     obs::Counter checkpoints_full;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
+
 namespace ickpt::io {
 
 std::optional<std::size_t> FrameIndex::find_epoch(std::uint64_t epoch) const {
@@ -45,6 +47,7 @@ std::vector<std::uint64_t> FrameIndex::epochs() const {
 
 FrameIndex index_frames(const std::string& path, ScanOptions opts,
                         const HeaderProbe& probe) {
+  obs::Span span("storage.scan", "io");
   FrameIndex index;
   FrameIterator it(path, opts);
   Frame frame;
@@ -62,6 +65,7 @@ FrameIndex index_frames(const std::string& path, ScanOptions opts,
   index.stop_offset = it.stop_offset();
   index.regions_skipped = it.regions_skipped();
   index.bytes_skipped = it.bytes_skipped();
+  publish_scan(it, index.frames.size());
   return index;
 }
 

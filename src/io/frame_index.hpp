@@ -71,7 +71,8 @@ struct FrameIndex {
 /// Stream the log at `path` into an index. A missing file indexes as an
 /// empty, clean log. Payloads are probed and discarded — memory stays one
 /// buffer of the largest frame plus FrameIterator's fixed window, plus the
-/// index itself.
+/// index itself. Every call is one published scan: a "storage.scan" span
+/// and the ickpt_scan* counters (publish_scan).
 FrameIndex index_frames(const std::string& path, ScanOptions opts,
                         const HeaderProbe& probe);
 

@@ -70,9 +70,9 @@ struct FrameIterator::Impl {
 
   // Fixed window of input bytes: [head, end) is unconsumed, buf[head] is at
   // input offset `base + head`, and the next unread input byte is at
-  // `base + end`. Headers are parsed in place. A payload's bytes in the
-  // window are copied into Frame::payload, and the rest of a payload that
-  // runs past the window are read straight into it.
+  // `base + end`. Headers are parsed in place. Payload bytes in the window
+  // are copied into Frame::payload and the rest read straight into it, or,
+  // for next_header, streamed through the window.
   const std::unique_ptr<std::uint8_t[]> buf =
       std::make_unique_for_overwrite<std::uint8_t[]>(kWindow);
   std::size_t head = 0;
@@ -165,30 +165,40 @@ struct FrameIterator::Impl {
     eof = false;
   }
 
-  /// Read the `len`-byte payload of the frame whose header is at `head`
-  /// into `payload`: bytes already in the window are copied, the rest are
-  /// read straight into it. Returns false, sizing nothing, when the input
+  /// Feed the `len`-byte payload of the frame whose header is at `head`
+  /// into `check`, and into `payload` if given: window bytes are copied and
+  /// the rest read straight into it, or without one streamed through the
+  /// window (over the header). Returns false, sizing nothing, when the input
   /// ends before the payload does. Sets `past_window` once input past the
   /// window has been read, so the window no longer follows the frame.
-  bool read_payload(std::uint32_t len, std::vector<std::uint8_t>& payload,
-                    bool& past_window) {
+  bool read_payload(std::uint32_t len, std::vector<std::uint8_t>* payload,
+                    Crc32& check, bool& past_window) {
     const std::uint8_t* in_window = buf.get() + head + kHeaderSize;
-    const std::size_t have = available() - kHeaderSize;
-    if (len <= have) {
-      payload.assign(in_window, in_window + len);
+    const std::size_t have =
+        std::min<std::size_t>(len, available() - kHeaderSize);
+    if (len > have && len - have > unread()) return false;
+    past_window = len > have;
+    if (payload == nullptr) {
+      check.update(in_window, have);
+      for (std::size_t left = len - have, n = 0; left > 0; left -= n) {
+        n = read_input(buf.get(), std::min(left, kWindow));
+        if (n == 0) return false;
+        check.update(buf.get(), n);
+      }
       return true;
     }
-    if (len - have > unread()) return false;
-    if (payload.capacity() < len) {
+    if (payload->capacity() < len) {
       // Free the old buffer first and reserve exactly: growing by doubling
       // would hold up to twice the largest frame.
-      payload = std::vector<std::uint8_t>();
-      payload.reserve(len);
+      *payload = std::vector<std::uint8_t>();
+      payload->reserve(len);
     }
-    payload.resize(len);
-    std::memcpy(payload.data(), in_window, have);
-    past_window = true;
-    return read_input(payload.data() + have, len - have) == len - have;
+    payload->assign(in_window, in_window + have);
+    payload->resize(len);
+    if (read_input(payload->data() + have, len - have) != len - have)
+      return false;
+    check.update(payload->data(), len);
+    return true;
   }
 
   void record_damage(const char* why) {
@@ -244,7 +254,8 @@ struct FrameIterator::Impl {
     }
   }
 
-  bool next(Frame& out) {
+  /// `keep` false checks the payload without keeping it (next_header).
+  bool next(Frame& out, bool keep) {
     if (done) return false;
     for (;;) {
       fill(kHeaderSize);
@@ -265,19 +276,18 @@ struct FrameIterator::Impl {
         } else {
           seq = get_u64(p + 4);
           len = get_u32(p + 12);
+          const std::uint32_t crc = get_u32(p + 16);
+          Crc32 check;
+          check.update(p + 4, 12);  // seq + length
           if (len > kMaxPayload) {
             why = "implausible frame length";
-          } else if (!read_payload(len, out.payload, past_window)) {
+          } else if (!read_payload(len, keep ? &out.payload : nullptr, check,
+                                   past_window)) {
             why = "torn frame payload";
-          } else {
-            Crc32 check;
-            check.update(p + 4, 12);  // seq + length
-            check.update(out.payload.data(), len);
-            if (check.value() != get_u32(p + 16)) {
-              why = "frame CRC mismatch";
-            } else if (!first_frame && seq <= prev_seq) {
-              why = "non-increasing sequence number";
-            }
+          } else if (check.value() != crc) {
+            why = "frame CRC mismatch";
+          } else if (!first_frame && seq <= prev_seq) {
+            why = "non-increasing sequence number";
           }
         }
       }
@@ -350,7 +360,8 @@ FrameIterator::FrameIterator(const std::uint8_t* data, std::size_t size,
 
 FrameIterator::~FrameIterator() = default;
 
-bool FrameIterator::next(Frame& out) { return impl_->next(out); }
+bool FrameIterator::next(Frame& out) { return impl_->next(out, true); }
+bool FrameIterator::next_header(Frame& out) { return impl_->next(out, false); }
 bool FrameIterator::clean() const { return !impl_->damaged; }
 const std::string& FrameIterator::stop_reason() const {
   return impl_->stop_reason;
@@ -383,10 +394,10 @@ ScanResult collect(FrameIterator& it) {
   return result;
 }
 
-/// Feed a finished scan's counters into the installed registry — the
-/// end-of-scan state stops being write-only the moment observability is on.
-/// Cold path: scans happen at open/recover/fsck time, so per-call lookups
-/// are fine (and stay correct under late registry installation).
+}  // namespace
+
+// Cold path: scans happen at open/recover/fsck time, so per-call lookups
+// are fine (and stay correct under late registry installation).
 void publish_scan(const FrameIterator& it, std::size_t frames) {
   obs::counter("ickpt_scans_total",
                {{"result", it.clean() ? "clean" : "damaged"}})
@@ -399,8 +410,10 @@ void publish_scan(const FrameIterator& it, std::size_t frames) {
     obs::counter("ickpt_scan_bytes_skipped_total").inc(it.bytes_skipped());
 }
 
+namespace {
+
 /// What opening a log needs to know about one file, from one salvage pass
-/// that keeps no payload past its frame.
+/// that keeps no payload (FrameIterator::next_header).
 struct OpenProbe {
   bool clean = true;
   /// Newest sequence number a salvage scan can read (frames come out in
@@ -414,7 +427,7 @@ OpenProbe probe_for_open(const std::string& path) {
   OpenProbe probe;
   Frame frame;
   std::size_t frames = 0;
-  while (it.next(frame)) {
+  while (it.next_header(frame)) {
     probe.last_seq = frame.seq;
     ++frames;
   }

@@ -72,9 +72,9 @@ struct ScanResult {
   std::uint64_t bytes_skipped = 0;
 };
 
-/// Streaming frame reader. Memory is one payload buffer, sized to the
-/// largest frame read (the caller's Frame::payload, reused across next()),
-/// plus a fixed 128 KiB window, whatever the log or frame size. A payload
+/// Streaming frame reader. Memory is a fixed 128 KiB window plus, for
+/// next(), one payload buffer sized to the largest frame read (the caller's
+/// Frame::payload, reused), whatever the log or frame size. A payload
 /// is never sized past the bytes left in the input, so a corrupt length
 /// costs no memory. Drive with next() until it returns false, then read the
 /// end-of-scan state (clean()/stop_reason()/...). scan()/scan_bytes() are
@@ -99,6 +99,9 @@ class FrameIterator {
   /// Produce the next frame into `out` (reusing its payload buffer).
   /// Returns false at end of log; `out.payload` is unspecified then.
   bool next(Frame& out);
+  /// next() without the payload: it still passes the CRC check, streaming
+  /// through the window, but `out.payload` is left as it was.
+  bool next_header(Frame& out);
 
   // End-of-scan state; meaningful once next() has returned false.
   [[nodiscard]] bool clean() const;
@@ -112,6 +115,13 @@ class FrameIterator {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Feed one finished whole-log pass of `it`, which produced `frames`
+/// frames, into the ickpt_scan* counters — the end-of-scan state stops
+/// being write-only the moment observability is on. Every reader that
+/// walks a whole log (StableStorage's own passes, io::index_frames) calls
+/// this once per pass, inside its "storage.scan" span.
+void publish_scan(const FrameIterator& it, std::size_t frames);
 
 struct StorageOptions {
   /// fsync each appended frame before append() returns.

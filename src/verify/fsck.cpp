@@ -299,32 +299,30 @@ Report fsck_bytes(const std::vector<std::uint8_t>& bytes,
 namespace {
 
 /// Structural pass over one generation: epochs and full-checkpoint layout
-/// via a salvage scan (tolerant — quarantined generations are damaged by
-/// definition and still need summarizing).
+/// from its salvage index (tolerant — quarantined generations are damaged
+/// by definition and still need summarizing).
 GenerationSummary summarize_generation(const std::string& path, bool live) {
   GenerationSummary summary;
   summary.path = path;
   summary.live = live;
-  io::FrameIterator it(path, {.salvage = true});
-  io::Frame frame;
+  const io::FrameIndex index =
+      io::index_frames(path, {.salvage = true}, core::stream_header_probe());
+  summary.frames = index.frames.size();
+  summary.scan_clean = index.clean;
   bool first = true;
-  while (it.next(frame)) {
-    ++summary.frames;
-    try {
-      const core::StreamHeader header = core::peek_header(frame.payload);
-      if (first) {
-        summary.first_epoch = header.epoch;
-        summary.starts_full = header.mode == core::Mode::kFull;
-        first = false;
-      }
-      summary.last_epoch = header.epoch;
-      if (header.mode == core::Mode::kFull) summary.has_full = true;
-    } catch (const Error&) {
-      // Undecodable payload: counted as a frame, invisible to the epoch
-      // range. fsck_log reports it in detail.
+  for (const io::IndexedFrame& f : index.frames) {
+    // An undecodable payload is counted as a frame but is invisible to the
+    // epoch range; fsck_log reports it in detail.
+    if (!f.header_ok) continue;
+    const bool full = static_cast<core::Mode>(f.mode) == core::Mode::kFull;
+    if (first) {
+      summary.first_epoch = f.epoch;
+      summary.starts_full = full;
+      first = false;
     }
+    summary.last_epoch = f.epoch;
+    summary.has_full = summary.has_full || full;
   }
-  summary.scan_clean = it.clean();
   return summary;
 }
 

@@ -8,9 +8,10 @@
 //   liveness        — the manager either completes the epoch or rotates
 //                     within its bounded ladder; any exception other than
 //                     the injected CrashFault is a wedge and fails the
-//                     test. The fault schedule caps injected faults per
-//                     epoch below the ladder's append capacity, so a
-//                     non-crash wedge is always a product bug.
+//                     test. The fault schedule caps each epoch's faults,
+//                     weighted by the append attempts they can cost, below
+//                     the ladder's append capacity, so a non-crash wedge is
+//                     always a product bug.
 //   recoverability  — at every (simulated) process death and every planned
 //                     restart, CheckpointManager::recover over the
 //                     generation chain must return some epoch E whose
@@ -59,12 +60,16 @@ using io::StableStorage;
 constexpr int kLeaves = 8;
 
 /// The ladder's per-epoch append capacity with the options below: the
-/// initial append + 1 in-place retry + 6 rotation rebases, each absorbing
-/// retry.max_attempts+1 = 4 transient decisions. The chaos schedule caps
-/// injected faults per epoch safely below this, so the ladder can always
-/// finish an epoch (a torn/short/flip fault costs at most one append
-/// attempt; a transient costs one decision).
+/// initial append + 1 in-place retry + 6 rotation rebases = 8 attempts. An
+/// attempt fails after retry.max_attempts+1 = 4 transient decisions on one
+/// write, but a torn write ends it at once (pinned by
+/// HealthTest.TornWritesCostWholeAppendAttempts). So the schedule charges a
+/// torn write kTornWriteCost budget units and every other fault 1 (a short
+/// write or a bit flip ends no attempt), and stops injecting once an epoch
+/// has spent kMaxFaultsPerEpoch units: at most 25 + 4 = 29 units, below the
+/// 8 × 4 = 32 that exhaust the ladder, so it can always finish an epoch.
 constexpr unsigned kMaxFaultsPerEpoch = 26;
+constexpr unsigned kTornWriteCost = 4;  // retry.max_attempts + 1
 
 /// Seeded random fault schedule. on_write may run on the AsyncLog worker
 /// thread while the harness polls the counters from the test thread, so
@@ -78,7 +83,7 @@ class ChaosPolicy final : public io::FaultPolicy {
   FaultDecision on_write(std::uint64_t, std::size_t n) override {
     consults_.fetch_add(1, std::memory_order_relaxed);
     if (!armed_.load(std::memory_order_relaxed)) return {};
-    if (faults_total_.load(std::memory_order_relaxed) -
+    if (budget_spent_.load(std::memory_order_relaxed) -
             epoch_base_.load(std::memory_order_relaxed) >=
         kMaxFaultsPerEpoch)
       return {};
@@ -90,7 +95,8 @@ class ChaosPolicy final : public io::FaultPolicy {
     const std::uint32_t roll = static_cast<std::uint32_t>(rng_() % 1000);
     if (roll < 120) return fault({FaultKind::kTransient, 0, EINTR});
     if (roll < 170 && n >= 2) return fault({FaultKind::kShortWrite, n / 2});
-    if (roll < 200) return fault({FaultKind::kTornWrite, n / 3});
+    if (roll < 200)
+      return fault({FaultKind::kTornWrite, n / 3}, kTornWriteCost);
     if (roll < 220 && n > 0) {
       flips_.fetch_add(1, std::memory_order_relaxed);
       return fault({FaultKind::kBitFlip, rng_() % n});
@@ -106,13 +112,13 @@ class ChaosPolicy final : public io::FaultPolicy {
     return {};
   }
 
-  /// Rebase the per-epoch budget on the cumulative count instead of
+  /// Rebase the per-epoch budget on the cumulative spend instead of
   /// resetting a counter: an AsyncLog-worker fault landing between the
   /// harness's post-take read and the next begin_epoch() is never lost — it
-  /// stays in the cumulative total, which the harness consumes through a
-  /// seen-cursor delta.
+  /// stays in the cumulative fault total, which the harness consumes
+  /// through a seen-cursor delta.
   void begin_epoch() {
-    epoch_base_.store(faults_total_.load(std::memory_order_relaxed),
+    epoch_base_.store(budget_spent_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   }
   void arm(bool on) { armed_.store(on, std::memory_order_relaxed); }
@@ -120,8 +126,9 @@ class ChaosPolicy final : public io::FaultPolicy {
   [[nodiscard]] std::uint64_t faults_total() const {
     return faults_total_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t faults_this_epoch() const {
-    return faults_total_.load(std::memory_order_relaxed) -
+  /// Budget units this epoch has spent.
+  [[nodiscard]] std::uint64_t budget_this_epoch() const {
+    return budget_spent_.load(std::memory_order_relaxed) -
            epoch_base_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t flips_total() const {
@@ -129,8 +136,9 @@ class ChaosPolicy final : public io::FaultPolicy {
   }
 
  private:
-  FaultDecision fault(FaultDecision d) {
+  FaultDecision fault(FaultDecision d, unsigned cost = 1) {
     faults_total_.fetch_add(1, std::memory_order_relaxed);
+    budget_spent_.fetch_add(cost, std::memory_order_relaxed);
     return d;
   }
 
@@ -140,6 +148,7 @@ class ChaosPolicy final : public io::FaultPolicy {
   std::atomic<std::uint64_t> consults_{0};
   std::atomic<std::uint64_t> flips_{0};
   std::atomic<std::uint64_t> faults_total_{0};
+  std::atomic<std::uint64_t> budget_spent_{0};
   std::atomic<std::uint64_t> epoch_base_{0};
   std::atomic<std::uint64_t> enospc_left_{0};
 };
@@ -385,6 +394,9 @@ class ChaosSoakTest : public ::testing::Test {
 
       policy.begin_epoch();
       const std::uint64_t flips_before = policy.flips_total();
+      // Recorded before the take: a crash can land every byte of the
+      // in-flight frame, and recovery then rightly returns this epoch.
+      history[manager->next_epoch()] = values;
       core::TakeResult taken;
       try {
         taken = manager->take(roots);
@@ -399,13 +411,12 @@ class ChaosSoakTest : public ::testing::Test {
       // the ladder wedged below its fault budget. There is deliberately no
       // catch-all: such an exception propagates and fails the test.
       ++stats.epochs;
-      history[taken.epoch] = values;
       if (std::getenv("ICKPT_CHAOS_TRACE"))
-        std::printf("take e=%llu mode=%d seq=%llu faults=%llu flips=%llu "
+        std::printf("take e=%llu mode=%d seq=%llu budget=%llu flips=%llu "
                     "health=%d\n",
                     (unsigned long long)taken.epoch, (int)taken.mode,
                     (unsigned long long)taken.seq,
-                    (unsigned long long)policy.faults_this_epoch(),
+                    (unsigned long long)policy.budget_this_epoch(),
                     (unsigned long long)policy.flips_total(),
                     (int)manager->health());
       if (taken.mode == Mode::kFull) flips_at_window_start = flips_before;

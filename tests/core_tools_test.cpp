@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "core/inspect.hpp"
+#include "core/log_ops.hpp"
 #include "io/file_io.hpp"
 #include "core/manager.hpp"
 #include "tests/test_types.hpp"

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -327,12 +329,116 @@ TEST_F(HealthTest, RecoverFallsBackAcrossGenerations) {
   EXPECT_FALSE(result.log_clean);
   EXPECT_EQ(result.state.epoch, 1u);
   EXPECT_EQ(result.state.root_as<Leaf>()->i32, 11);
+}
 
-  // Opting out restores the strict single-file behavior.
-  core::RecoverOptions opts;
-  opts.walk_generations = false;
-  EXPECT_THROW(CheckpointManager::recover(path_, registry_, opts),
-               CorruptionError);
+// Compaction reads only the live log, under both policies. recover() falls
+// back to a quarantined generation when the live log is wrecked; a
+// compaction that did the same would silently replace the live log with an
+// older generation's state. Instead it fails, and no file on the chain
+// changes.
+TEST_F(HealthTest, CompactionNeverReadsQuarantinedGenerations) {
+  const std::uint64_t size2 = calibrate(2);
+  {
+    ScriptedFaultPolicy policy(FaultKind::kTransient, size2 + 10, ENOSPC, 6);
+    core::Heap heap;
+    Leaf* leaf = heap.make<Leaf>();
+    CheckpointManager manager(path_, heal_opts(&policy));
+    for (int i = 0; i < 3; ++i) {
+      leaf->set_i32(10 + i);
+      manager.take(*leaf);
+    }
+  }
+  io::write_file(path_, std::vector<std::uint8_t>(64, 0xEE));
+  const std::string quarantined = StableStorage::quarantine_path(path_, 1);
+  ASSERT_EQ(CheckpointManager::recover(path_, registry_).recovered_path,
+            quarantined);
+
+  auto chain_files = [&] {
+    std::map<std::string, std::vector<std::uint8_t>> files;
+    for (const std::string& base : {path_, quarantined})
+      for (const char* suffix : {"", ".bak", ".retain"})
+        if (io::file_exists(base + suffix))
+          files[base + suffix] = io::read_file(base + suffix);
+    return files;
+  };
+  const auto before = chain_files();
+  for (const core::CompactPolicy policy :
+       {core::CompactPolicy::kSquashAll, core::CompactPolicy::kBinomial}) {
+    SCOPED_TRACE(policy == core::CompactPolicy::kBinomial ? "binomial"
+                                                          : "squash");
+    EXPECT_THROW(
+        CheckpointManager::compact(path_, registry_, {.policy = policy}),
+        CorruptionError);
+    EXPECT_EQ(chain_files(), before);
+  }
+  // What a compaction that read the quarantined generation would leave.
+  std::remove((path_ + ".compact").c_str());
+  std::remove((path_ + ".retain").c_str());
+}
+
+/// Delivers one scripted decision per physical write once armed, then none.
+class SequenceFaultPolicy final : public io::FaultPolicy {
+ public:
+  explicit SequenceFaultPolicy(std::vector<io::FaultDecision> script)
+      : script_(std::move(script)) {}
+
+  io::FaultDecision on_write(std::uint64_t, std::size_t) override {
+    if (!armed || next_ == script_.size()) return {};
+    return script_[next_++];
+  }
+
+  bool armed = false;
+
+ private:
+  std::vector<io::FaultDecision> script_;
+  std::size_t next_ = 0;
+};
+
+// The ladder's append capacity under the chaos soak's options: the first
+// append, one in-place retry and six rotation rebases make 8 attempts. An
+// attempt fails after retry.max_attempts + 1 = 4 transient decisions on one
+// write, but a torn write ends it at once — so a torn write costs a whole
+// attempt, and the soak must charge it that much against its budget.
+TEST_F(HealthTest, TornWritesCostWholeAppendAttempts) {
+  auto third_take = [this](unsigned enospc) {
+    clean_chain();
+    std::vector<io::FaultDecision> script(
+        enospc, io::FaultDecision{FaultKind::kTransient, 0, ENOSPC});
+    script.insert(script.end(), 4,
+                  io::FaultDecision{FaultKind::kTornWrite, 5});
+    SequenceFaultPolicy policy(std::move(script));
+    ManagerOptions opts = heal_opts(&policy);
+    opts.retry.max_attempts = 3;
+    opts.heal.rotate_attempts = 6;
+    core::Heap heap;
+    Leaf* leaf = heap.make<Leaf>();
+    CheckpointManager manager(path_, opts);
+    for (int i = 0; i < 2; ++i) {
+      leaf->set_i32(10 + i);
+      manager.take(*leaf);
+    }
+    policy.armed = true;
+    leaf->set_i32(12);
+    bool taken = true;
+    try {
+      EXPECT_EQ(manager.take(*leaf).epoch, 2u);
+    } catch (const IoError&) {
+      taken = false;
+    }
+    EXPECT_EQ(manager.health_status().rotations, 6u);
+    std::remove(manager.flightrec_path().c_str());
+    return std::make_pair(taken, manager.health());
+  };
+
+  // 16 ENOSPC decisions end four attempts; four torn writes end the rest.
+  EXPECT_EQ(third_take(16), std::make_pair(false, Health::kFailed));
+
+  // One decision fewer: the fourth attempt's write absorbs three ENOSPC and
+  // then tears, three more attempts tear, and the eighth lands the epoch.
+  EXPECT_EQ(third_take(15), std::make_pair(true, Health::kDegraded));
+  const auto recovered = CheckpointManager::recover(path_, registry_);
+  EXPECT_EQ(recovered.state.epoch, 2u);
+  EXPECT_EQ(recovered.state.root_as<Leaf>()->i32, 12);
 }
 
 }  // namespace

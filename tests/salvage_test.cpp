@@ -23,7 +23,6 @@ namespace {
 
 using core::CheckpointManager;
 using core::ManagerOptions;
-using core::RecoverOptions;
 using core::TypeRegistry;
 using io::StableStorage;
 
@@ -169,20 +168,88 @@ TEST_F(SalvageTest, FrameIteratorOpensAtRecordedOffset) {
   EXPECT_TRUE(end.clean());
 }
 
-// Regression for the pre-salvage behavior: the same damaged log recovered
-// with salvage off (old truncation semantics) and on (new), asserting both
-// counts. One corrupt incremental used to cost every later checkpoint,
-// including two fulls that supersede it.
+TEST_F(SalvageTest, HeaderPassChecksWhatTheFullPassChecks) {
+  // next_header streams payloads through the iterator's window instead of
+  // keeping them; it must accept and reject exactly the frames next() does.
+  // Big frames span several windows; consecutive payload bytes differ by 7,
+  // so no magic resync hides inside them, flipped byte or not.
+  std::vector<std::uint8_t> big(300000);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::uint8_t>(i * 7);
+  std::vector<std::uint64_t> offsets{0};
+  {
+    StableStorage storage(path_);
+    for (int i = 0; i < 6; ++i) {
+      const auto payload =
+          i % 2 == 0 ? payload_of(static_cast<std::uint8_t>(i)) : big;
+      storage.append(payload);
+      offsets.push_back(offsets.back() + 20 + payload.size());
+    }
+  }
+  auto bytes = io::read_file(path_);
+  bytes[offsets[2] + 20] ^= 0xFF;           // frame 2, inside the window
+  bytes[offsets[3] + 20 + 200000] ^= 0xFF;  // frame 3, far past the window
+  bytes.resize(bytes.size() - 1);           // frame 5 torn
+  io::write_file(path_, bytes);
+
+  struct Pass {
+    std::vector<std::uint64_t> seqs, offsets;
+    std::vector<bool> resync;
+    bool clean = true;
+    std::string stop_reason;
+    std::uint64_t stop_offset = 0, valid_prefix = 0, bytes_skipped = 0;
+    std::size_t regions = 0;
+  };
+  auto drain = [](io::FrameIterator& it, bool header) {
+    Pass p;
+    io::Frame frame;
+    while (header ? it.next_header(frame) : it.next(frame)) {
+      EXPECT_TRUE(!header || frame.payload.empty());
+      p.seqs.push_back(frame.seq);
+      p.offsets.push_back(frame.offset);
+      p.resync.push_back(frame.resync);
+    }
+    p.clean = it.clean();
+    p.stop_reason = it.stop_reason();
+    p.stop_offset = it.stop_offset();
+    p.valid_prefix = it.valid_prefix_bytes();
+    p.regions = it.regions_skipped();
+    p.bytes_skipped = it.bytes_skipped();
+    return p;
+  };
+  for (bool salvage : {false, true}) {
+    SCOPED_TRACE(salvage ? "salvage" : "plain");
+    io::FrameIterator full_it(path_, {.salvage = salvage});
+    io::FrameIterator header_it(path_, {.salvage = salvage});
+    io::FrameIterator mem_it(bytes.data(), bytes.size(), {.salvage = salvage});
+    const Pass full = drain(full_it, false);
+    const Pass header = drain(header_it, true);
+    const Pass mem = drain(mem_it, true);
+    EXPECT_EQ(full.seqs, salvage ? std::vector<std::uint64_t>({0, 1, 4})
+                                 : std::vector<std::uint64_t>({0, 1}));
+    EXPECT_EQ(full.stop_reason, "frame CRC mismatch");
+    EXPECT_EQ(full.stop_offset, offsets[2]);
+    for (const Pass* p : {&header, &mem}) {
+      EXPECT_EQ(p->seqs, full.seqs);
+      EXPECT_EQ(p->offsets, full.offsets);
+      EXPECT_EQ(p->resync, full.resync);
+      EXPECT_EQ(p->clean, full.clean);
+      EXPECT_EQ(p->stop_reason, full.stop_reason);
+      EXPECT_EQ(p->stop_offset, full.stop_offset);
+      EXPECT_EQ(p->valid_prefix, full.valid_prefix);
+      EXPECT_EQ(p->regions, full.regions);
+      EXPECT_EQ(p->bytes_skipped, full.bytes_skipped);
+    }
+  }
+}
+
+// Regression for the pre-salvage behavior: one corrupt incremental used to
+// cost every later checkpoint, including two fulls that supersede it.
+// Recovery now resyncs past it (plain-scan truncation stays pinned at the
+// io level by SalvageScanResyncsPastMidLogCorruption).
 TEST_F(SalvageTest, RecoverSalvagesSuffixAfterMidLogCorruption) {
   auto frames = build_manager_log(/*full_interval=*/2, /*n=*/6);
   corrupt_payload_at(frames[1].offset);  // incremental at epoch 1
-
-  auto truncated = CheckpointManager::recover(path_, registry_,
-                                              RecoverOptions{.salvage = false});
-  EXPECT_FALSE(truncated.log_clean);
-  EXPECT_EQ(truncated.checkpoints_applied, 1u);  // only the epoch-0 full
-  EXPECT_EQ(truncated.state.root_as<Leaf>()->i32, 10);
-  EXPECT_EQ(truncated.state.epoch, 0u);
 
   auto salvaged = CheckpointManager::recover(path_, registry_);
   EXPECT_FALSE(salvaged.log_clean);
@@ -212,6 +279,31 @@ TEST_F(SalvageTest, CorruptMostRecentFullFallsBackToPriorWindow) {
   EXPECT_EQ(result.checkpoints_applied, 3u);
   EXPECT_EQ(result.state.root_as<Leaf>()->i32, 15);
   EXPECT_EQ(result.state.epoch, 5u);
+}
+
+// A squash keeps the newest *usable* state — exactly what recover() replays
+// from the file — not the newest frame: with the epoch-6 full corrupt it
+// keeps epoch 5 as one full frame (seq == epoch).
+TEST_F(SalvageTest, SquashCompactionKeepsNewestUsableWindow) {
+  auto frames = build_manager_log(/*full_interval=*/3, /*n=*/7);
+  corrupt_payload_at(frames[6].offset);
+  const auto before = CheckpointManager::recover(path_, registry_);
+
+  const auto compacted = CheckpointManager::compact(path_, registry_);
+  EXPECT_EQ(compacted.retained, std::vector<Epoch>{before.state.epoch});
+  EXPECT_EQ(compacted.epochs_dropped, 0u);
+
+  auto scan = StableStorage::scan(path_);
+  EXPECT_TRUE(scan.clean);
+  ASSERT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(scan.frames[0].seq, before.state.epoch);
+  // bytes_after is the squashed payload, without the frame header.
+  EXPECT_EQ(compacted.bytes_after, scan.frames[0].payload.size());
+
+  const auto after = CheckpointManager::recover(path_, registry_);
+  EXPECT_TRUE(after.log_clean);
+  EXPECT_EQ(after.state.epoch, 5u);
+  EXPECT_EQ(after.state.root_as<Leaf>()->i32, 15);
 }
 
 TEST_F(SalvageTest, CorruptOnlyFullThrowsCorruptionError) {

@@ -92,13 +92,14 @@
 
 #include "analysis/attributes.hpp"
 #include "common/error.hpp"
-#include "core/inspect.hpp"
+#include "core/log_ops.hpp"
 #include "core/manager.hpp"
 #include "core/retention.hpp"
 #include "io/byte_sink.hpp"
 #include "io/data_reader.hpp"
 #include "io/data_writer.hpp"
 #include "io/file_io.hpp"
+#include "io/frame_index.hpp"
 #include "io/stable_storage.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
@@ -129,15 +130,15 @@ core::TypeRegistry builtin_registry() {
 }
 
 int cmd_scan(const char* path, bool salvage) {
-  io::ScanResult scan =
-      io::StableStorage::scan(path, {.salvage = salvage});
+  const io::FrameIndex scan =
+      io::index_frames(path, {.salvage = salvage}, nullptr);
   std::size_t total = 0;
-  for (const io::Frame& frame : scan.frames) {
+  for (const io::IndexedFrame& frame : scan.frames) {
     std::printf("seq %llu @ byte %llu: %zu bytes%s\n",
                 (unsigned long long)frame.seq,
-                (unsigned long long)frame.offset, frame.payload.size(),
+                (unsigned long long)frame.offset, frame.payload_bytes,
                 frame.resync ? " (resynchronized after corrupt region)" : "");
-    total += frame.payload.size();
+    total += frame.payload_bytes;
   }
   std::printf("%zu frame(s), %zu payload bytes, %s\n", scan.frames.size(),
               total,
