@@ -69,6 +69,9 @@ class WithCheckpointInfo : public Checkpointable {
 class Heap {
  public:
   Heap() = default;
+  /// Take ownership of objects constructed elsewhere (recovery path).
+  explicit Heap(std::vector<std::unique_ptr<Checkpointable>> objects) noexcept
+      : objects_(std::move(objects)) {}
   Heap(Heap&&) noexcept = default;
   Heap& operator=(Heap&&) noexcept = default;
   Heap(const Heap&) = delete;
@@ -82,7 +85,7 @@ class Heap {
     return raw;
   }
 
-  /// Take ownership of an object constructed elsewhere (recovery path).
+  /// Take ownership of one object constructed elsewhere.
   Checkpointable* adopt(std::unique_ptr<Checkpointable> obj) {
     Checkpointable* raw = obj.get();
     objects_.push_back(std::move(obj));

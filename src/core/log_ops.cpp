@@ -78,7 +78,6 @@ bool apply_window(const std::string& path, const io::FrameIndex& index,
     std::size_t at = begin;
     std::string what;
     bool failed = false;
-    ApplyStats window_stats;
     {
       io::FrameIterator it(path, {}, index.frames[begin].offset);
       ++passes;
@@ -95,9 +94,7 @@ bool apply_window(const std::string& path, const io::FrameIndex& index,
                                 " no longer reads back");
         try {
           io::DataReader reader(frame.payload);
-          ApplyStats frame_stats;
-          recovery.apply(reader, &frame_stats);
-          window_stats.records += frame_stats.records;
+          recovery.apply(reader);
         } catch (const Error& e) {
           failed = true;
           what = e.what();
@@ -109,7 +106,7 @@ bool apply_window(const std::string& path, const io::FrameIndex& index,
       try {
         out = recovery.finish();
         applied = end - begin;
-        records = window_stats.records;
+        records = recovery.records_applied();
         return true;
       } catch (const Error& e) {
         // A dangling link etc. — dropping the last frame may close the
@@ -475,7 +472,7 @@ CompactResult CheckpointManager::compact(const std::string& path,
   // replacement grows).
   const std::string tmp_path = path + ".compact";
   std::remove(tmp_path.c_str());  // stale leftover of a crashed compaction
-  {
+  try {
     io::StableStorage fresh(tmp_path,
                             io::StorageOptions{.durable = true,
                                                .fault = opts.fault});
@@ -505,6 +502,12 @@ CompactResult CheckpointManager::compact(const std::string& path,
     if (result.retained.empty())
       throw CorruptionError("policy compaction of '" + path +
                             "': no scheduled epoch is recoverable");
+  } catch (const CorruptionError&) {
+    // Nothing to keep: the log stays as it was, and so does the directory.
+    // A CrashFault is no CorruptionError and leaves the file, as a real
+    // crash would.
+    std::remove(tmp_path.c_str());
+    throw;
   }
   io::rename_durable(tmp_path, path);
   if (binomial) {

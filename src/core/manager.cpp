@@ -48,17 +48,27 @@ io::StorageOptions storage_options(const ManagerOptions& opts) {
 /// the epochs recorded in headers, not just above next_seq().
 Epoch chain_next_epoch(const std::string& path) {
   Epoch next = 0;
+  // Returns whether the file holds a parseable epoch.
   auto peek_all = [&next](const std::string& p) {
+    bool found = false;
     for (const io::IndexedFrame& f :
          io::index_frames(p, {.salvage = true}, stream_header_probe()).frames)
-      if (f.header_ok) next = std::max(next, f.epoch + 1);
+      if (f.header_ok) {
+        next = std::max(next, f.epoch + 1);
+        found = true;
+      }
+    return found;
   };
   peek_all(path);
   peek_all(path + ".bak");
+  // Newest generation first; older ones hold older epochs. An empty
+  // generation (a crash or a failed rebase right after a rotation) says
+  // nothing, so the walk goes on past it, as StableStorage's sequence
+  // resume does.
   for (const std::string& gen : io::StableStorage::generation_chain(path)) {
-    peek_all(gen);
-    peek_all(gen + ".bak");
-    break;  // newest first; older generations hold older epochs
+    const bool in_log = peek_all(gen);
+    const bool in_bak = peek_all(gen + ".bak");
+    if (in_log || in_bak) break;
   }
   return next;
 }

@@ -1,5 +1,8 @@
 #include "core/recovery.hpp"
 
+#include <span>
+#include <utility>
+
 #include "core/checkpoint.hpp"
 #include "io/byte_sink.hpp"
 
@@ -22,20 +25,22 @@ std::size_t RecoveredState::prune_unreachable() {
   for (Checkpointable* root : root_objs) walker.checkpoint(*root);
   const auto& live = walker.visited_ids();
 
-  std::size_t dropped = heap.retain_if(
+  IdTable kept;
+  for (const auto& [id, obj] : by_id)
+    if (live.count(id) != 0) kept.insert(id, obj);
+  by_id = std::move(kept);
+  return heap.retain_if(
       [&](const Checkpointable& obj) { return live.count(obj.info().id()) != 0; });
-  for (auto it = by_id.begin(); it != by_id.end();) {
-    if (live.count(it->first) == 0)
-      it = by_id.erase(it);
-    else
-      ++it;
-  }
-  return dropped;
 }
 
 namespace {
 
-StreamHeader read_header(io::DataReader& r) {
+/// Magic, version, mode byte and epoch: the fixed-size head of every
+/// stream header.
+constexpr std::size_t kFixedHeaderBytes = 3 + sizeof(Epoch);
+
+/// Parse the fixed fields into `header` (mode and epoch).
+void read_fixed_header(io::DataReader& r, StreamHeader& header) {
   if (r.read_u8() != kStreamMagic)
     throw CorruptionError("bad checkpoint stream magic");
   std::uint8_t version = r.read_u8();
@@ -45,9 +50,13 @@ StreamHeader read_header(io::DataReader& r) {
   std::uint8_t mode_byte = r.read_u8();
   if (mode_byte > static_cast<std::uint8_t>(Mode::kIncremental))
     throw CorruptionError("invalid checkpoint mode byte");
-  StreamHeader header;
   header.mode = static_cast<Mode>(mode_byte);
   header.epoch = r.read_u64();
+}
+
+StreamHeader read_header(io::DataReader& r) {
+  StreamHeader header;
+  read_fixed_header(r, header);
   std::uint64_t nroots = r.read_varint();
   header.roots.reserve(nroots);
   for (std::uint64_t i = 0; i < nroots; ++i)
@@ -63,17 +72,20 @@ StreamHeader peek_header(const std::vector<std::uint8_t>& payload) {
 }
 
 io::HeaderProbe stream_header_probe() {
-  return [](const std::vector<std::uint8_t>& payload, std::uint64_t& epoch,
-            std::uint8_t& mode) {
-    try {
-      const StreamHeader h = peek_header(payload);
-      epoch = h.epoch;
-      mode = static_cast<std::uint8_t>(h.mode);
-      return true;
-    } catch (const Error&) {
-      return false;
-    }
-  };
+  return {kFixedHeaderBytes,
+          [](std::span<const std::uint8_t> prefix, std::uint64_t& epoch,
+             std::uint8_t& mode) {
+            io::DataReader r(prefix.data(), prefix.size());
+            StreamHeader h;
+            try {
+              read_fixed_header(r, h);
+            } catch (const CorruptionError&) {
+              return false;
+            }
+            epoch = h.epoch;
+            mode = static_cast<std::uint8_t>(h.mode);
+            return true;
+          }};
 }
 
 StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
@@ -85,6 +97,7 @@ StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
       throw CorruptionError("unknown record tag " + std::to_string(tag));
     TypeId type = static_cast<TypeId>(r.read_varint());
     ObjectId oid = r.read_varint();
+    ++records_applied_;
     if (stats != nullptr) {
       ++stats->records;
       ++stats->records_by_type[type];
@@ -103,21 +116,20 @@ StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
       event_children_.clear();
       continue;
     }
-    Checkpointable* obj;
-    auto it = objects_.find(oid);
-    overwriting_ = it != objects_.end();
+    Checkpointable* obj = table_.find(oid);
+    overwriting_ = obj != nullptr;
     if (!overwriting_) {
-      const TypeRegistry::Entry& entry = registry_->lookup(type);
-      auto created = entry.factory(oid);
-      obj = created.get();
-      objects_.emplace(oid, std::move(created));
-    } else {
-      obj = it->second.get();
-      if (obj->type_id() != type)
-        throw TypeError("object " + std::to_string(oid) +
-                        " changes type across checkpoints");
+      objects_.push_back(registry_->lookup(type).factory(oid));
+      obj = objects_.back().get();
+      table_.insert(oid, obj);
+    } else if (obj->type_id() != type) {
+      throw TypeError("object " + std::to_string(oid) +
+                      " changes type across checkpoints");
     }
     obj->restore_record(r, *this);
+    // Recovered state corresponds to a moment just after a checkpoint, when
+    // every recorded object's flag had been reset.
+    obj->info().reset_modified();
   }
   if (!r.at_end())
     throw CorruptionError("trailing bytes after checkpoint end tag");
@@ -131,30 +143,19 @@ RecoveredState Recovery::finish() {
     throw Error("Recovery::finish() is invalid in scan mode");
   if (!has_header_) throw Error("Recovery::finish() with no checkpoint applied");
   for (const Fixup& fixup : fixups_) {
-    if (fixup.id == kNullObjectId) {
-      fixup.set(nullptr);
-      continue;
-    }
-    auto it = objects_.find(fixup.id);
-    if (it == objects_.end())
+    Checkpointable* obj = nullptr;
+    if (fixup.id != kNullObjectId && (obj = table_.find(fixup.id)) == nullptr)
       throw CorruptionError("dangling child reference to object " +
                             std::to_string(fixup.id));
-    fixup.set(it->second.get());
+    fixup.set(fixup.slot, obj);
   }
-  fixups_.clear();
+  std::vector<Fixup>().swap(fixups_);  // frees the capacity, not just size
 
   RecoveredState state;
-  state.roots = last_header_.roots;
+  state.heap = Heap(std::move(objects_));
+  state.by_id = std::exchange(table_, {});
+  state.roots = std::move(last_header_.roots);
   state.epoch = last_header_.epoch;
-  state.by_id.reserve(objects_.size());
-  for (auto& [oid, obj] : objects_) {
-    // Recovered state corresponds to a moment just after a checkpoint, when
-    // every recorded object's flag had been reset.
-    obj->info().reset_modified();
-    state.by_id.emplace(oid, obj.get());
-    state.heap.adopt(std::move(obj));
-  }
-  objects_.clear();
   return state;
 }
 

@@ -9,6 +9,10 @@
 // object exists, so forward references inside a checkpoint are fine. That
 // pass replays the links in stream order, so the newest record of each slot
 // wins — a link a later delta cleared stays cleared.
+//
+// Memory while replaying is the objects themselves, one IdTable over them
+// and one 24-byte fixup per queued link; finish() frees the fixups and
+// hands the table and the objects over without copying either.
 #pragma once
 
 #include <functional>
@@ -18,23 +22,24 @@
 #include "common/error.hpp"
 #include "core/checkpoint_format.hpp"
 #include "core/checkpointable.hpp"
+#include "core/id_table.hpp"
 #include "core/type_registry.hpp"
 #include "io/data_reader.hpp"
 #include "io/frame_index.hpp"
 
 namespace ickpt::core {
 
-/// Everything recovery produces: an owning heap, the id index, and the roots
-/// named by the most recent checkpoint header.
+/// Everything recovery produces: an owning heap (objects in the order the
+/// stream first recorded them), the id index, and the roots named by the
+/// most recent checkpoint header.
 struct RecoveredState {
   Heap heap;
-  std::unordered_map<ObjectId, Checkpointable*> by_id;
+  IdTable by_id;
   std::vector<ObjectId> roots;
   Epoch epoch = 0;
 
   [[nodiscard]] Checkpointable* find(ObjectId id) const {
-    auto it = by_id.find(id);
-    return it == by_id.end() ? nullptr : it->second;
+    return by_id.find(id);
   }
 
   /// Drop every object not reachable from the roots (the "objects awaiting
@@ -72,10 +77,11 @@ struct StreamHeader {
 /// most recent full checkpoint in a log without decoding records).
 StreamHeader peek_header(const std::vector<std::uint8_t>& payload);
 
-/// peek_header wrapped as an io::HeaderProbe: the adapter that lets the
-/// storage layer's epoch-addressed frame index (io::index_frames) read
-/// stream headers without knowing the checkpoint format. Returns false for
-/// payloads that are not parseable checkpoint streams.
+/// The adapter that lets the storage layer's epoch-addressed frame index
+/// (io::index_frames) read stream headers without knowing the checkpoint
+/// format. It asks for the header's fixed fields only — magic, version,
+/// mode and epoch — and accepts a payload whose fixed fields parse; the
+/// list of roots is checked when the frame is applied, like every record.
 io::HeaderProbe stream_header_probe();
 
 /// Per-checkpoint record statistics (filled by Recovery::apply on request;
@@ -135,40 +141,49 @@ class Recovery {
     // wins. A null link needs a fixup only when this record overwrites an
     // object restored earlier: an older record's fixup may target `slot`.
     if (id == kNullObjectId && !overwriting_) return;
-    fixups_.push_back(Fixup{id, [&slot](Checkpointable* obj) {
-                              if (obj == nullptr) {
-                                slot = nullptr;
-                                return;
-                              }
-                              T* typed = dynamic_cast<T*>(obj);
-                              if (typed == nullptr)
-                                throw TypeError(
-                                    "child link resolves to object of "
-                                    "unexpected dynamic type");
-                              slot = typed;
-                            }});
+    fixups_.push_back(Fixup{id, &slot, &set_link<T>});
   }
 
-  /// Resolve all child links, clear modified flags, and hand the graph over.
-  /// The Recovery object is spent afterwards.
+  /// Resolve all child links and hand the graph over. The Recovery object
+  /// is spent afterwards.
   RecoveredState finish();
 
   [[nodiscard]] std::size_t objects_materialized() const noexcept {
     return objects_.size();
   }
 
+  /// Records applied so far, over every apply() call.
+  [[nodiscard]] std::size_t records_applied() const noexcept {
+    return records_applied_;
+  }
+
  private:
   struct Fixup {
     ObjectId id;  ///< kNullObjectId: the slot is cleared
-    std::function<void(Checkpointable*)> set;
+    void* slot;   ///< a T*, written through `set`
+    void (*set)(void* slot, Checkpointable* obj);
   };
+
+  /// Point the T* at `slot` to `obj`, which must be a T (or null).
+  template <class T>
+  static void set_link(void* slot, Checkpointable* obj) {
+    T* typed = nullptr;
+    if (obj != nullptr && (typed = dynamic_cast<T*>(obj)) == nullptr)
+      throw TypeError("child link resolves to object of unexpected dynamic "
+                      "type");
+    *static_cast<T**>(slot) = typed;
+  }
 
   const TypeRegistry* registry_;
   ApplyMode mode_ = ApplyMode::kMaterialize;
   RecordObserver observer_;
   std::vector<ObjectId> event_children_;  // scan mode, current record
-  std::unordered_map<ObjectId, std::unique_ptr<Checkpointable>> objects_;
+  /// Owns every materialized object, in the order the stream first
+  /// recorded it; table_ indexes them by id.
+  std::vector<std::unique_ptr<Checkpointable>> objects_;
+  IdTable table_;
   std::vector<Fixup> fixups_;
+  std::size_t records_applied_ = 0;
   /// The record being restored belongs to an object an earlier record
   /// already materialized.
   bool overwriting_ = false;

@@ -51,13 +51,14 @@ FrameIndex index_frames(const std::string& path, ScanOptions opts,
   FrameIndex index;
   FrameIterator it(path, opts);
   Frame frame;
-  while (it.next(frame)) {
+  while (it.next_header(frame, probe.bytes)) {
     IndexedFrame meta;
     meta.seq = frame.seq;
     meta.offset = frame.offset;
-    meta.payload_bytes = frame.payload.size();
+    meta.payload_bytes = frame.payload_bytes;
     meta.resync = frame.resync;
-    if (probe) meta.header_ok = probe(frame.payload, meta.epoch, meta.mode);
+    if (probe.read)
+      meta.header_ok = probe.read(frame.payload, meta.epoch, meta.mode);
     index.frames.push_back(meta);
   }
   index.clean = it.clean();

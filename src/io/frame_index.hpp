@@ -4,16 +4,18 @@
 // written by the core stream encoder inside the payload. Time-travel
 // recovery and fsck's retention audit both need to answer "which epochs are
 // on this log, and where" without materializing any payload — so this scan
-// streams every frame (salvage-aware; one buffer of the largest frame plus
-// FrameIterator's fixed window) and asks a caller-supplied HeaderProbe to
-// read the epoch/mode out of each payload's first bytes. The probe keeps
-// the layering honest: io stays ignorant of the checkpoint stream format,
-// core (which owns peek_header) supplies the few lines that understand it.
+// streams every frame through FrameIterator's fixed window (salvage-aware,
+// FrameIterator::next_header) and asks a caller-supplied HeaderProbe to
+// read the epoch/mode out of the few leading payload bytes it keeps. The
+// probe keeps the layering honest: io stays ignorant of the checkpoint
+// stream format, core (which owns the stream header) supplies the few
+// lines that understand it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,19 +30,28 @@ struct IndexedFrame {
   std::size_t payload_bytes = 0;
   /// A corrupt region lies between this frame and the previous one.
   bool resync = false;
-  /// The HeaderProbe accepted this payload; epoch/mode are meaningful.
+  /// The HeaderProbe accepted the payload's leading bytes: with
+  /// core::stream_header_probe(), the stream header's fixed fields (magic,
+  /// version, mode, epoch) parse. Nothing else in the payload is checked
+  /// here; the list of roots is checked when the frame is applied, like
+  /// every record. epoch/mode are meaningful iff header_ok.
   bool header_ok = false;
   std::uint64_t epoch = 0;
   /// Stream mode byte as written (core::Mode); meaningful iff header_ok.
   std::uint8_t mode = 0;
 };
 
-/// Reads epoch + mode from the leading bytes of a frame payload; returns
-/// false (leaving the outputs alone) when the payload is not a parseable
-/// checkpoint stream header.
-using HeaderProbe = std::function<bool(
-    const std::vector<std::uint8_t>& payload, std::uint64_t& epoch,
-    std::uint8_t& mode)>;
+/// Reads epoch + mode from the leading bytes of a frame payload.
+struct HeaderProbe {
+  /// How many leading payload bytes `read` needs; the index keeps no more.
+  std::size_t bytes = 0;
+  /// Gets the payload's first `bytes` bytes (all of a shorter payload).
+  /// Returns false, leaving the outputs alone, when they are not a
+  /// parseable header. Unset: no frame is probed, none is header_ok.
+  std::function<bool(std::span<const std::uint8_t> prefix,
+                     std::uint64_t& epoch, std::uint8_t& mode)>
+      read;
+};
 
 struct FrameIndex {
   std::vector<IndexedFrame> frames;
@@ -69,10 +80,11 @@ struct FrameIndex {
 };
 
 /// Stream the log at `path` into an index. A missing file indexes as an
-/// empty, clean log. Payloads are probed and discarded — memory stays one
-/// buffer of the largest frame plus FrameIterator's fixed window, plus the
-/// index itself. Every call is one published scan: a "storage.scan" span
-/// and the ickpt_scan* counters (publish_scan).
+/// empty, clean log. Each payload streams through FrameIterator's fixed
+/// window, which passes its CRC, and only its first `probe.bytes` bytes are
+/// kept for the probe — memory is the window plus the index itself. Every
+/// call is one published scan: a "storage.scan" span and the ickpt_scan*
+/// counters (publish_scan).
 FrameIndex index_frames(const std::string& path, ScanOptions opts,
                         const HeaderProbe& probe);
 

@@ -72,7 +72,7 @@ struct FrameIterator::Impl {
   // input offset `base + head`, and the next unread input byte is at
   // `base + end`. Headers are parsed in place. Payload bytes in the window
   // are copied into Frame::payload and the rest read straight into it, or,
-  // for next_header, streamed through the window.
+  // for next_header, streamed through the window with only a prefix kept.
   const std::unique_ptr<std::uint8_t[]> buf =
       std::make_unique_for_overwrite<std::uint8_t[]>(kWindow);
   std::size_t head = 0;
@@ -166,38 +166,46 @@ struct FrameIterator::Impl {
   }
 
   /// Feed the `len`-byte payload of the frame whose header is at `head`
-  /// into `check`, and into `payload` if given: window bytes are copied and
-  /// the rest read straight into it, or without one streamed through the
-  /// window (over the header). Returns false, sizing nothing, when the input
-  /// ends before the payload does. Sets `past_window` once input past the
-  /// window has been read, so the window no longer follows the frame.
-  bool read_payload(std::uint32_t len, std::vector<std::uint8_t>* payload,
-                    Crc32& check, bool& past_window) {
+  /// into `check`, and its first `keep` bytes into `payload`. A whole
+  /// payload is copied from the window and the rest read straight into it;
+  /// a prefix is copied out while the payload streams through the window
+  /// (over the header). Returns false, sizing nothing, when the input ends
+  /// before the payload does. Sets `past_window` once input past the window
+  /// has been read, so the window no longer follows the frame.
+  bool read_payload(std::uint32_t len, std::size_t keep,
+                    std::vector<std::uint8_t>& payload, Crc32& check,
+                    bool& past_window) {
     const std::uint8_t* in_window = buf.get() + head + kHeaderSize;
     const std::size_t have =
         std::min<std::size_t>(len, available() - kHeaderSize);
     if (len > have && len - have > unread()) return false;
     past_window = len > have;
-    if (payload == nullptr) {
-      check.update(in_window, have);
+    if (keep < len) {
+      payload.clear();
+      auto stream = [&](const std::uint8_t* p, std::size_t n) {
+        check.update(p, n);
+        payload.insert(payload.end(), p,
+                       p + std::min(n, keep - payload.size()));
+      };
+      stream(in_window, have);
       for (std::size_t left = len - have, n = 0; left > 0; left -= n) {
         n = read_input(buf.get(), std::min(left, kWindow));
         if (n == 0) return false;
-        check.update(buf.get(), n);
+        stream(buf.get(), n);
       }
       return true;
     }
-    if (payload->capacity() < len) {
+    if (payload.capacity() < len) {
       // Free the old buffer first and reserve exactly: growing by doubling
       // would hold up to twice the largest frame.
-      *payload = std::vector<std::uint8_t>();
-      payload->reserve(len);
+      payload = std::vector<std::uint8_t>();
+      payload.reserve(len);
     }
-    payload->assign(in_window, in_window + have);
-    payload->resize(len);
-    if (read_input(payload->data() + have, len - have) != len - have)
+    payload.assign(in_window, in_window + have);
+    payload.resize(len);
+    if (read_input(payload.data() + have, len - have) != len - have)
       return false;
-    check.update(payload->data(), len);
+    check.update(payload.data(), len);
     return true;
   }
 
@@ -254,8 +262,8 @@ struct FrameIterator::Impl {
     }
   }
 
-  /// `keep` false checks the payload without keeping it (next_header).
-  bool next(Frame& out, bool keep) {
+  /// Keeps the payload's first `keep` bytes (next_header) or all of it.
+  bool next(Frame& out, std::size_t keep) {
     if (done) return false;
     for (;;) {
       fill(kHeaderSize);
@@ -281,7 +289,7 @@ struct FrameIterator::Impl {
           check.update(p + 4, 12);  // seq + length
           if (len > kMaxPayload) {
             why = "implausible frame length";
-          } else if (!read_payload(len, keep ? &out.payload : nullptr, check,
+          } else if (!read_payload(len, keep, out.payload, check,
                                    past_window)) {
             why = "torn frame payload";
           } else if (check.value() != crc) {
@@ -295,6 +303,7 @@ struct FrameIterator::Impl {
       const std::uint64_t at = offset();
       if (why == nullptr) {
         out.seq = seq;
+        out.payload_bytes = len;
         out.offset = at;
         out.resync = pending_skip > 0;
         if (pending_skip > 0) {
@@ -360,8 +369,12 @@ FrameIterator::FrameIterator(const std::uint8_t* data, std::size_t size,
 
 FrameIterator::~FrameIterator() = default;
 
-bool FrameIterator::next(Frame& out) { return impl_->next(out, true); }
-bool FrameIterator::next_header(Frame& out) { return impl_->next(out, false); }
+bool FrameIterator::next(Frame& out) {
+  return impl_->next(out, std::numeric_limits<std::size_t>::max());
+}
+bool FrameIterator::next_header(Frame& out, std::size_t prefix) {
+  return impl_->next(out, prefix);
+}
 bool FrameIterator::clean() const { return !impl_->damaged; }
 const std::string& FrameIterator::stop_reason() const {
   return impl_->stop_reason;

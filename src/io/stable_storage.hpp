@@ -40,7 +40,10 @@ namespace ickpt::io {
 
 struct Frame {
   std::uint64_t seq = 0;
+  /// The payload, or with FrameIterator::next_header only its first bytes.
   std::vector<std::uint8_t> payload;
+  /// Length of the whole payload.
+  std::size_t payload_bytes = 0;
   /// Byte offset of the frame header within the log.
   std::uint64_t offset = 0;
   /// True when this frame was reached by salvage resynchronization (i.e. a
@@ -99,9 +102,10 @@ class FrameIterator {
   /// Produce the next frame into `out` (reusing its payload buffer).
   /// Returns false at end of log; `out.payload` is unspecified then.
   bool next(Frame& out);
-  /// next() without the payload: it still passes the CRC check, streaming
-  /// through the window, but `out.payload` is left as it was.
-  bool next_header(Frame& out);
+  /// next() that keeps only the payload's first `prefix` bytes (all of a
+  /// shorter payload) in `out.payload`. The whole payload still passes the
+  /// CRC check, streamed through the window, so memory stays the window.
+  bool next_header(Frame& out, std::size_t prefix = 0);
 
   // End-of-scan state; meaningful once next() has returned false.
   [[nodiscard]] bool clean() const;

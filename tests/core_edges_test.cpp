@@ -146,8 +146,8 @@ TEST(CycleGuard, SharedSubobjectAcrossRootsRecordedOncePerSession) {
   recovery.apply(reader);
   auto state = recovery.finish();
   EXPECT_EQ(state.by_id.size(), 3u);
-  auto* ra = dynamic_cast<Inner*>(state.by_id.at(a->info().id()));
-  auto* rb = dynamic_cast<Inner*>(state.by_id.at(b->info().id()));
+  auto* ra = dynamic_cast<Inner*>(state.find(a->info().id()));
+  auto* rb = dynamic_cast<Inner*>(state.find(b->info().id()));
   ASSERT_NE(ra, nullptr);
   ASSERT_NE(rb, nullptr);
   ASSERT_NE(ra->left, nullptr);

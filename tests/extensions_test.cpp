@@ -7,6 +7,7 @@
 
 #include "core/async_log.hpp"
 #include "core/manager.hpp"
+#include "io/file_io.hpp"
 #include "spec/adaptive.hpp"
 #include "spec/pattern_io.hpp"
 #include "tests/synth_helpers.hpp"
@@ -326,6 +327,7 @@ TEST(Compaction, EmptyLogThrows) {
   core::TypeRegistry registry;
   EXPECT_THROW(core::CheckpointManager::compact(path, registry),
                CorruptionError);
+  EXPECT_FALSE(io::file_exists(path + ".compact"));
 }
 
 }  // namespace

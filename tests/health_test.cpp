@@ -272,15 +272,36 @@ TEST_F(HealthTest, EpochsNeverReuseAcrossQuarantinedGenerations) {
   // Live log holds epoch 2 only; the quarantine holds 0..1. A reopened
   // manager must resume past ALL of them — epoch numbers are never reused
   // anywhere on the chain.
-  core::Heap heap;
-  Leaf* leaf = heap.make<Leaf>();
-  CheckpointManager manager(path_, heal_opts(nullptr));
-  EXPECT_EQ(manager.next_epoch(), 3u);
-  leaf->set_i32(13);
-  EXPECT_EQ(manager.take(*leaf).epoch, 3u);
+  {
+    core::Heap heap;
+    Leaf* leaf = heap.make<Leaf>();
+    CheckpointManager manager(path_, heal_opts(nullptr));
+    EXPECT_EQ(manager.next_epoch(), 3u);
+    leaf->set_i32(13);
+    EXPECT_EQ(manager.take(*leaf).epoch, 3u);
 
-  auto chain = verify::fsck_chain(path_, registry_);
-  EXPECT_TRUE(chain.clean()) << chain.to_string();
+    auto chain = verify::fsck_chain(path_, registry_);
+    EXPECT_TRUE(chain.clean()) << chain.to_string();
+  }
+
+  // Epochs run ahead of sequence numbers once async poisoning drops
+  // frames, and the newest generation can be empty (a crash right after a
+  // rotation). Generation 1 holds epochs 0 and 5 at seqs 0 and 1;
+  // generation 2 and the live log are empty. The epoch resume walks past
+  // the empty generation, as the sequence resume does.
+  clean_chain();
+  {
+    core::Heap heap;
+    Leaf* leaf = heap.make<Leaf>();
+    std::vector<core::Checkpointable*> roots{leaf};
+    StableStorage gen1(StableStorage::quarantine_path(path_, 1));
+    gen1.append(checkpoint_bytes(roots, 0, Mode::kFull));
+    gen1.append(checkpoint_bytes(roots, 5, Mode::kIncremental));
+  }
+  io::write_file(StableStorage::quarantine_path(path_, 2), {});
+  io::write_file(path_, {});
+  CheckpointManager manager(path_, heal_opts(nullptr));
+  EXPECT_EQ(manager.next_epoch(), 6u);
 }
 
 TEST_F(HealthTest, LadderFeedsMetricsRegistry) {
@@ -370,10 +391,9 @@ TEST_F(HealthTest, CompactionNeverReadsQuarantinedGenerations) {
         CheckpointManager::compact(path_, registry_, {.policy = policy}),
         CorruptionError);
     EXPECT_EQ(chain_files(), before);
+    EXPECT_FALSE(io::file_exists(path_ + ".compact"));
+    EXPECT_FALSE(io::file_exists(path_ + ".retain"));
   }
-  // What a compaction that read the quarantined generation would leave.
-  std::remove((path_ + ".compact").c_str());
-  std::remove((path_ + ".retain").c_str());
 }
 
 /// Delivers one scripted decision per physical write once armed, then none.

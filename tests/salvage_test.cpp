@@ -7,7 +7,9 @@
 // with the removed bytes saved to .bak.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,10 +171,11 @@ TEST_F(SalvageTest, FrameIteratorOpensAtRecordedOffset) {
 }
 
 TEST_F(SalvageTest, HeaderPassChecksWhatTheFullPassChecks) {
-  // next_header streams payloads through the iterator's window instead of
-  // keeping them; it must accept and reject exactly the frames next() does.
-  // Big frames span several windows; consecutive payload bytes differ by 7,
-  // so no magic resync hides inside them, flipped byte or not.
+  // next_header streams payloads through the iterator's window and keeps
+  // only a prefix of each; it must accept and reject exactly the frames
+  // next() does, and keep exactly their first bytes. Big frames span
+  // several windows; consecutive payload bytes differ by 7, so no magic
+  // resync hides inside them, flipped byte or not.
   std::vector<std::uint8_t> big(300000);
   for (std::size_t i = 0; i < big.size(); ++i)
     big[i] = static_cast<std::uint8_t>(i * 7);
@@ -195,19 +198,23 @@ TEST_F(SalvageTest, HeaderPassChecksWhatTheFullPassChecks) {
   struct Pass {
     std::vector<std::uint64_t> seqs, offsets;
     std::vector<bool> resync;
+    std::vector<std::vector<std::uint8_t>> payloads;  // or the kept prefixes
+    std::vector<std::size_t> lengths;
     bool clean = true;
     std::string stop_reason;
     std::uint64_t stop_offset = 0, valid_prefix = 0, bytes_skipped = 0;
     std::size_t regions = 0;
   };
-  auto drain = [](io::FrameIterator& it, bool header) {
+  // `prefix` unset: next(); otherwise next_header(frame, *prefix).
+  auto drain = [](io::FrameIterator& it, std::optional<std::size_t> prefix) {
     Pass p;
     io::Frame frame;
-    while (header ? it.next_header(frame) : it.next(frame)) {
-      EXPECT_TRUE(!header || frame.payload.empty());
+    while (prefix ? it.next_header(frame, *prefix) : it.next(frame)) {
       p.seqs.push_back(frame.seq);
       p.offsets.push_back(frame.offset);
       p.resync.push_back(frame.resync);
+      p.payloads.push_back(frame.payload);
+      p.lengths.push_back(frame.payload_bytes);
     }
     p.clean = it.clean();
     p.stop_reason = it.stop_reason();
@@ -220,27 +227,74 @@ TEST_F(SalvageTest, HeaderPassChecksWhatTheFullPassChecks) {
   for (bool salvage : {false, true}) {
     SCOPED_TRACE(salvage ? "salvage" : "plain");
     io::FrameIterator full_it(path_, {.salvage = salvage});
-    io::FrameIterator header_it(path_, {.salvage = salvage});
-    io::FrameIterator mem_it(bytes.data(), bytes.size(), {.salvage = salvage});
-    const Pass full = drain(full_it, false);
-    const Pass header = drain(header_it, true);
-    const Pass mem = drain(mem_it, true);
+    const Pass full = drain(full_it, std::nullopt);
     EXPECT_EQ(full.seqs, salvage ? std::vector<std::uint64_t>({0, 1, 4})
                                  : std::vector<std::uint64_t>({0, 1}));
     EXPECT_EQ(full.stop_reason, "frame CRC mismatch");
     EXPECT_EQ(full.stop_offset, offsets[2]);
-    for (const Pass* p : {&header, &mem}) {
-      EXPECT_EQ(p->seqs, full.seqs);
-      EXPECT_EQ(p->offsets, full.offsets);
-      EXPECT_EQ(p->resync, full.resync);
-      EXPECT_EQ(p->clean, full.clean);
-      EXPECT_EQ(p->stop_reason, full.stop_reason);
-      EXPECT_EQ(p->stop_offset, full.stop_offset);
-      EXPECT_EQ(p->valid_prefix, full.valid_prefix);
-      EXPECT_EQ(p->regions, full.regions);
-      EXPECT_EQ(p->bytes_skipped, full.bytes_skipped);
+    for (std::size_t i = 0; i < full.seqs.size(); ++i)
+      EXPECT_EQ(full.lengths[i], full.payloads[i].size());
+    for (const std::size_t prefix : {0, 11}) {
+      SCOPED_TRACE("prefix " + std::to_string(prefix));
+      io::FrameIterator header_it(path_, {.salvage = salvage});
+      io::FrameIterator mem_it(bytes.data(), bytes.size(),
+                               {.salvage = salvage});
+      const Pass header = drain(header_it, prefix);
+      const Pass mem = drain(mem_it, prefix);
+      for (const Pass* p : {&header, &mem}) {
+        EXPECT_EQ(p->seqs, full.seqs);
+        EXPECT_EQ(p->offsets, full.offsets);
+        EXPECT_EQ(p->resync, full.resync);
+        EXPECT_EQ(p->lengths, full.lengths);
+        for (std::size_t i = 0; i < full.seqs.size() && i < p->seqs.size();
+             ++i) {
+          const auto& whole = full.payloads[i];
+          EXPECT_EQ(p->payloads[i],
+                    std::vector<std::uint8_t>(
+                        whole.begin(),
+                        whole.begin() + std::min(prefix, whole.size())));
+        }
+        EXPECT_EQ(p->clean, full.clean);
+        EXPECT_EQ(p->stop_reason, full.stop_reason);
+        EXPECT_EQ(p->stop_offset, full.stop_offset);
+        EXPECT_EQ(p->valid_prefix, full.valid_prefix);
+        EXPECT_EQ(p->regions, full.regions);
+        EXPECT_EQ(p->bytes_skipped, full.bytes_skipped);
+      }
     }
   }
+}
+
+TEST_F(SalvageTest, HeaderPassKeepsPrefixesThatStraddleTheWindow) {
+  // One 23-byte payload, then 16-byte ones: with the iterator's 128 KiB
+  // window, frame 3640's header ends 5 bytes before the window does, so
+  // its 11-byte prefix is read partly from the window and partly from the
+  // refill. Every payload's bytes name its frame, so a prefix taken from
+  // the wrong place cannot match.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  {
+    StableStorage storage(path_);
+    for (std::size_t i = 0; i < 4000; ++i) {
+      std::vector<std::uint8_t> payload(i == 0 ? 23 : 16);
+      for (std::size_t b = 0; b < payload.size(); ++b)
+        payload[b] = static_cast<std::uint8_t>(i * 31 + b);
+      storage.append(payload);
+      payloads.push_back(payload);
+    }
+  }
+  io::FrameIterator it(path_);
+  io::Frame frame;
+  std::size_t n = 0;
+  while (it.next_header(frame, 11)) {
+    ASSERT_LT(n, payloads.size());
+    EXPECT_EQ(frame.payload_bytes, payloads[n].size());
+    EXPECT_EQ(frame.payload, std::vector<std::uint8_t>(
+                                 payloads[n].begin(), payloads[n].begin() + 11))
+        << "frame " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, payloads.size());
+  EXPECT_TRUE(it.clean());
 }
 
 // Regression for the pre-salvage behavior: one corrupt incremental used to

@@ -131,7 +131,7 @@ core::TypeRegistry builtin_registry() {
 
 int cmd_scan(const char* path, bool salvage) {
   const io::FrameIndex scan =
-      io::index_frames(path, {.salvage = salvage}, nullptr);
+      io::index_frames(path, {.salvage = salvage}, {});
   std::size_t total = 0;
   for (const io::IndexedFrame& frame : scan.frames) {
     std::printf("seq %llu @ byte %llu: %zu bytes%s\n",
