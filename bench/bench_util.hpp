@@ -63,21 +63,8 @@ struct TimingStats {
   double mean = 0;
 };
 
-/// Time `fn` over `reps` runs (+1 warmup). `prepare` restores the
-/// pre-measurement state before every run.
-inline TimingStats time_stats(const std::function<void()>& prepare,
-                              const std::function<void()>& fn,
-                              int reps = bench_reps()) {
-  using clock = std::chrono::steady_clock;
-  std::vector<double> samples;
-  for (int r = 0; r <= reps; ++r) {
-    prepare();
-    auto t0 = clock::now();
-    fn();
-    auto t1 = clock::now();
-    if (r == 0) continue;  // run 0 is warmup
-    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
-  }
+/// The exact order statistics of raw per-rep times (seconds).
+inline TimingStats stats_of(std::vector<double> samples) {
   TimingStats stats;
   if (samples.empty()) return stats;
   std::sort(samples.begin(), samples.end());
@@ -93,6 +80,24 @@ inline TimingStats time_stats(const std::function<void()>& prepare,
   stats.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
                static_cast<double>(samples.size());
   return stats;
+}
+
+/// Time `fn` over `reps` runs (+1 warmup). `prepare` restores the
+/// pre-measurement state before every run.
+inline TimingStats time_stats(const std::function<void()>& prepare,
+                              const std::function<void()>& fn,
+                              int reps = bench_reps()) {
+  using clock = std::chrono::steady_clock;
+  std::vector<double> samples;
+  for (int r = 0; r <= reps; ++r) {
+    prepare();
+    auto t0 = clock::now();
+    fn();
+    auto t1 = clock::now();
+    if (r == 0) continue;  // run 0 is warmup
+    samples.push_back(std::chrono::duration<double>(t1 - t0).count());
+  }
+  return stats_of(std::move(samples));
 }
 
 /// Seconds for one invocation of `fn`, minimized over reps (+1 warmup).

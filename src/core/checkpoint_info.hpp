@@ -11,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdlib>
 
 #include "common/types.hpp"
 
@@ -18,12 +19,22 @@ namespace ickpt::core {
 
 class IdAllocator {
  public:
-  /// Next unused id. Never returns kNullObjectId.
+  /// Largest id next() hands out, and so the largest a stream may carry
+  /// (Recovery::apply rejects 2^64 - 1).
+  static constexpr ObjectId kMaxId = ~ObjectId{0} - 1;
+
+  /// Next unused id, at most kMaxId. Never returns kNullObjectId: once the
+  /// ids are used up (reachable only by restoring one near kMaxId) the
+  /// process aborts rather than wrap to the null id or write an id that
+  /// recovery would reject.
   static ObjectId next() noexcept {
-    return counter().fetch_add(1, std::memory_order_relaxed);
+    const ObjectId id = counter().fetch_add(1, std::memory_order_relaxed);
+    if (id == kNullObjectId || id > kMaxId) std::abort();
+    return id;
   }
 
   /// Ensure future next() calls return ids strictly greater than `id`.
+  /// After kMaxId, or an id above it, they abort instead.
   static void bump_past(ObjectId id) noexcept {
     auto& c = counter();
     ObjectId cur = c.load(std::memory_order_relaxed);

@@ -7,6 +7,17 @@
 // Ownership: as in Java, the object graph does not own its members — a Heap
 // arena owns every checkpointable object and links between objects are plain
 // non-owning pointers. Recovery materializes a fresh Heap.
+//
+// Concurrency: a capture may run record() and fold() of distinct objects at
+// the same time, on different threads. Sharded capture
+// (core/parallel_checkpoint.hpp) does so, and CheckpointManager picks it by
+// default once a heap is large enough (ManagerOptions::kAutoThreads). So
+// record() and fold() must not write state shared between objects (a
+// static counter, a shared cache); each may write only its own object and
+// the writer it is handed. One object is visited by one thread at a time
+// only on the paper's acyclic, unshared graphs: a graph in which an object
+// is reachable twice needs cycle_guard (CheckpointOptions, ManagerOptions),
+// which gives each object to exactly one walker.
 #pragma once
 
 #include <memory>

@@ -355,6 +355,10 @@ RecoverResult recover_chain(const std::string& path,
 }
 
 /// Serialize `state` as one full-checkpoint payload carrying its epoch.
+/// Serial on purpose: sharding the rewrite of a recovered 520k-object state
+/// cut it from 63 to 38 ms on 4 threads, but the segments recorded ahead of
+/// the merge frontier, in the workers' malloc arenas, raised the process's
+/// peak RSS by 25 MB, on top of the recovered state.
 std::vector<std::uint8_t> full_payload_of(RecoveredState& state) {
   std::vector<Checkpointable*> roots;
   roots.reserve(state.roots.size());

@@ -80,8 +80,6 @@ CheckpointManager::CheckpointManager(std::string path, ManagerOptions opts)
       storage_(std::move(path), storage_options(opts_)) {
   if (opts_.full_interval == 0)
     throw Error("ManagerOptions.full_interval must be >= 1");
-  if (opts_.capture_threads == 0)
-    throw Error("ManagerOptions.capture_threads must be >= 1");
   if (opts_.heal.enabled && opts_.heal.rotate_attempts == 0)
     throw Error(
         "ManagerOptions.heal.rotate_attempts must be >= 1 when healing is "
@@ -243,11 +241,14 @@ CheckpointStats CheckpointManager::capture(
   ParallelOptions popts;
   popts.mode = mode;
   popts.cycle_guard = opts_.cycle_guard;
-  popts.threads = opts_.capture_threads;
+  popts.threads = opts_.capture_threads == ManagerOptions::kAutoThreads
+                      ? capture_threads_for(last_visited_)
+                      : opts_.capture_threads;
   popts.profile = prof;
   const CheckpointStats stats =
       ParallelCheckpoint::run(writer, epoch, roots, popts).totals;
   writer.flush();
+  last_visited_ = stats.objects_visited;
   return stats;
 }
 

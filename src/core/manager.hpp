@@ -43,13 +43,25 @@ struct ManagerOptions {
   io::FaultPolicy* fault_policy = nullptr;
   /// Transient write-failure retry policy for stable storage.
   io::RetryPolicy retry{};
-  /// Worker threads for checkpoint capture. 1 (default) keeps today's
-  /// serial paper-faithful driver; N>1 shards the root set across N
-  /// workers (core::ParallelCheckpoint) and merges the segments behind one
-  /// stream header — the payload format and recovery are unchanged, and
-  /// with cycle_guard off the merged stream is byte-identical to the
-  /// serial one (tests/parallel_equiv_test.cpp).
-  unsigned capture_threads = 1;
+  /// capture_threads sentinel: each take sizes its own capture.
+  static constexpr unsigned kAutoThreads = 0;
+
+  /// Worker threads for checkpoint capture. kAutoThreads (the default)
+  /// runs each take on core::capture_threads_for(objects the previous
+  /// capture visited) threads: serial below 2 x 2^14 objects and on a
+  /// manager's first take, at most 4 (and usable_cpus()) on large heaps.
+  /// The gain needs a wide heap, whose objects spread over many roots or
+  /// over many children of the roots, because those are all sharded
+  /// capture can split: a heap hanging off one root's only child (a linked
+  /// list taken with take(*head)) stays serial, and one whose roots have
+  /// few, lopsided children starts threads that save nothing. 1 pins the
+  /// serial paper-faithful driver; N>1 pins N workers. Sharded capture
+  /// (core::ParallelCheckpoint) merges the segments behind one stream
+  /// header — the payload format and recovery are unchanged, and with
+  /// cycle_guard off the merged stream is byte-identical to the serial one
+  /// (tests/parallel_equiv_test.cpp). Anything above 1 relies on the
+  /// concurrency contract in core/checkpointable.hpp.
+  unsigned capture_threads = kAutoThreads;
   /// Self-healing ladder (core/health.hpp). Off by default: every failure
   /// keeps today's fail-stop semantics. With heal.enabled the manager
   /// degrades to synchronous durable writes on AsyncLog poisoning, rotates
@@ -198,7 +210,8 @@ class CheckpointManager {
   /// Run one capture of `roots` into `sink` (clearing it first), serial or
   /// parallel per capture_threads. Factored out because healing re-captures
   /// (rebase fulls) for the same epoch after epoch_ has already advanced.
-  /// `prof` (nullable) receives stage attribution for the walk.
+  /// `prof` (nullable) receives stage attribution for the walk. Records the
+  /// objects visited in last_visited_.
   CheckpointStats capture(Epoch epoch, std::span<Checkpointable* const> roots,
                           Mode mode, io::VectorSink& sink,
                           obs::CaptureProfile* prof = nullptr);
@@ -238,6 +251,9 @@ class CheckpointManager {
   io::StableStorage storage_;
   std::unique_ptr<AsyncLog> async_;
   Epoch epoch_ = 0;
+  /// Objects the previous capture visited; sizes the next one under
+  /// kAutoThreads. 0 before the first, which therefore runs serially.
+  std::uint64_t last_visited_ = 0;
   Metrics metrics_;
   obs::CaptureProfile last_profile_;
 

@@ -22,6 +22,10 @@
 //    threads x kItemsPerThread): then a compound root is split into its
 //    record (a records-only visit) plus per-child ranges of its top-level
 //    fold targets, so one giant root no longer serializes the walk.
+//  - The pool runs on at most as many threads as there are items that walk
+//    (every item but a split root's own record). With fewer than two the
+//    capture is serial: a root whose heap hangs off one child, such as the
+//    head of a linked list, cannot be split at all.
 //
 // The emitted payload obeys the exact format of docs/FORMAT.md — item-order
 // concatenation reproduces the serial layout — and Recovery/fsck need no
@@ -76,14 +80,17 @@ struct ParallelOptions {
   /// The claim table starts at nroots * 8 + 1024 slots; an underestimate
   /// costs overflow-segment probing, never correctness.
   bool cycle_guard = false;
-  /// Worker pool size. <= 1 delegates to the serial Checkpoint::run — the
-  /// paper-faithful path, byte-for-byte and cost-for-cost.
+  /// Worker pool size, at most the items that walk. <= 1 delegates to the
+  /// serial Checkpoint::run — the paper-faithful path, byte-for-byte and
+  /// cost-for-cost. A caller that knows the object count picks it with
+  /// capture_threads_for(), as CheckpointManager does under
+  /// ManagerOptions::kAutoThreads.
   unsigned threads = 1;
   /// Published-segment backlog (bytes) beyond which workers stop recording
   /// ahead of the merge frontier and yield instead. kAutoBacklog resolves
-  /// to: unbounded when threads <= hardware cores (recording ahead is the
+  /// to: unbounded when threads <= usable_cpus() (recording ahead is the
   /// parallelism win), 0 when oversubscribed (buffering ahead of a frontier
-  /// that shares your core only grows memory). Explicit values pass
+  /// that shares your CPU only grows memory). Explicit values pass
   /// through; tests pin large budgets to force concurrent buffering.
   std::size_t merge_backlog_bytes = kAutoBacklog;
   /// Stage-attribution accumulator. Null (the default) keeps every worker on
@@ -127,6 +134,14 @@ struct ParallelStats {
   /// Per-item breakdown; empty when the serial path ran.
   std::vector<ShardStats> shard_stats;
 };
+
+/// Capture threads for a walk of `objects` objects on `cpus` CPUs: one per
+/// 2^14 objects, at most min(`cpus`, 4), and 1 (serial) below two. Four is
+/// the widest count whose speed and memory have been measured.
+[[nodiscard]] unsigned capture_threads_for(std::uint64_t objects,
+                                           unsigned cpus) noexcept;
+/// The same pick on usable_cpus() CPUs (core/segment_merge.hpp).
+[[nodiscard]] unsigned capture_threads_for(std::uint64_t objects) noexcept;
 
 class ParallelCheckpoint {
  public:

@@ -104,6 +104,10 @@ StreamHeader Recovery::apply(io::DataReader& r, ApplyStats* stats) {
     }
     if (oid == kNullObjectId)
       throw CorruptionError("record carries null object id");
+    // No process hands out 2^64 - 1 (IdAllocator::kMaxId), and resuming
+    // the allocator past it would wrap to the null id.
+    if (oid > IdAllocator::kMaxId)
+      throw CorruptionError("record carries object id 2^64 - 1");
     if (mode_ == ApplyMode::kScan) {
       // Parse through a transient instance: full payload validation, no
       // graph. The instance dies here; link() collected the child ids.

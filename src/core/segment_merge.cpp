@@ -8,6 +8,10 @@
 #include <optional>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "core/checkpoint_format.hpp"
 #include "io/byte_sink.hpp"
 #include "obs/profile.hpp"
@@ -367,10 +371,19 @@ PoolStats run_workers(SegmentMerge& merge, const ShardRunOptions& opts,
 
 }  // namespace
 
+unsigned usable_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::size_t auto_backlog_budget(std::size_t threads) noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || threads <= hw) return SIZE_MAX;
-  return 0;
+  return threads <= usable_cpus() ? SIZE_MAX : 0;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> root_ranges(

@@ -52,10 +52,17 @@ struct ShardRunOptions {
   std::function<void(std::size_t)> item_hook;
 };
 
-/// Default backlog budget: unbounded when every worker has a core behind it
-/// (recording ahead of the frontier is the parallelism win), 0 when
-/// oversubscribed (buffering ahead of a frontier that shares your core only
-/// grows memory).
+/// CPUs the calling thread may run on: its affinity mask (sched_getaffinity),
+/// falling back to std::thread::hardware_concurrency() where the mask is
+/// unavailable, and never below 1. Under `taskset -c 0` this is 1 however
+/// many CPUs are online. A cgroup CPU quota is not counted: it bounds CPU
+/// time per period, not how many CPUs run the process's threads at once.
+[[nodiscard]] unsigned usable_cpus() noexcept;
+
+/// Default backlog budget: unbounded when every worker has a usable CPU
+/// behind it (recording ahead of the frontier is the parallelism win), 0
+/// when oversubscribed (buffering ahead of a frontier that shares your CPU
+/// only grows memory).
 [[nodiscard]] std::size_t auto_backlog_budget(std::size_t threads) noexcept;
 
 /// Split roots [0, nroots) into min(nitems, nroots) contiguous ranges:

@@ -18,11 +18,18 @@
 //                     recovered values equal the shadow history the
 //                     harness kept for E, with E at or above the settled
 //                     watermark (bit flips freeze the watermark until the
-//                     next clean full-checkpoint window, because silent
-//                     corruption can strand the epochs behind it).
+//                     next clean full-checkpoint window whose full frame
+//                     settled, because silent corruption can strand the
+//                     epochs behind it).
 //
-// The run is deterministic: one mt19937_64 seed drives every fault
-// decision, so a pass is reproducible and a failure replays exactly.
+// One mt19937_64 seed per pipeline drives every fault decision, so the
+// fault schedule is a function of the sequence of writes. The sync and
+// parallel pipelines write on the test thread, in an order the seed fixes,
+// and replay exactly. The async pipeline does not: when a background append
+// fails, how many queued frames it discards, and which later take observes
+// the poison and appends synchronously, follow thread timing. Two async
+// runs with one seed can diverge from the first failed background append
+// on, so a failure there is chased by rerunning long soaks, not replayed.
 // ICKPT_CHAOS_ITERS scales the per-mode epoch count for long soaks.
 #include <gtest/gtest.h>
 
@@ -31,6 +38,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -229,7 +237,18 @@ class ChaosSoakTest : public ::testing::Test {
     std::map<Epoch, std::vector<int>> history;
     Epoch watermark = 0;
     bool any_settled = false;
-    std::uint64_t flips_at_window_start = 0;
+    // The policy's flip count when each full take began, by epoch. The
+    // watermark may advance to a settled epoch S only while no flip has
+    // landed since the newest full at or below S: that full opens S's
+    // window and settled with it. A full whose async frame was lost never
+    // qualifies, because the take that observes the poison rebases with a
+    // synchronous full, and nothing between the two settles.
+    std::map<Epoch, std::uint64_t> flips_at_full;
+    auto window_clean = [&](Epoch settled) {
+      auto it = flips_at_full.upper_bound(settled);
+      return it != flips_at_full.begin() &&
+             policy.flips_total() == std::prev(it)->second;
+    };
     // Seen-cursor over the policy's cumulative fault count: every injected
     // fault is attributed to exactly one faulted epoch, including faults an
     // async worker lands after the harness's previous read.
@@ -419,20 +438,24 @@ class ChaosSoakTest : public ::testing::Test {
                     (unsigned long long)policy.budget_this_epoch(),
                     (unsigned long long)policy.flips_total(),
                     (int)manager->health());
-      if (taken.mode == Mode::kFull) flips_at_window_start = flips_before;
+      // After a restart, epochs whose frames never reached the chain are
+      // taken again, so an incremental may reuse the epoch of a lost full.
+      if (taken.mode == Mode::kFull)
+        flips_at_full[taken.epoch] = flips_before;
+      else
+        flips_at_full.erase(taken.epoch);
       note_faults();
 
       if (async_io) {
         if (i % 5 == 4) {
           manager->flush();  // absorbs poison via the ladder, never throws
           const auto status = manager->health_status();
-          if (status.any_settled &&
-              policy.flips_total() == flips_at_window_start) {
+          if (status.any_settled && window_clean(status.last_settled_epoch)) {
             watermark = status.last_settled_epoch;
             any_settled = true;
           }
         }
-      } else if (policy.flips_total() == flips_at_window_start) {
+      } else if (window_clean(taken.epoch)) {
         // Synchronous pipelines settle on return from take().
         watermark = taken.epoch;
         any_settled = true;

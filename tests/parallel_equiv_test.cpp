@@ -13,17 +13,27 @@
 //    and per-shard CheckpointStats must sum to the serial totals.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <vector>
 
 #include "core/parallel_checkpoint.hpp"
 #include "core/recovery.hpp"
+#include "core/segment_merge.hpp"
 #include "core/type_registry.hpp"
 #include "core/manager.hpp"
 #include "io/data_reader.hpp"
+#include "io/file_io.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "spec/adaptive.hpp"
 #include "tests/synth_helpers.hpp"
+#include "tests/test_types.hpp"
 
 namespace ickpt::testing {
 namespace {
@@ -438,6 +448,272 @@ TEST(ParallelEquivalence, ManagerCaptureThreadsRecoversLiveState) {
   }
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
+}
+
+/// Log paths in the test temp directory, removed before and after.
+struct ScratchLogs {
+  std::vector<std::string> paths;
+  explicit ScratchLogs(std::vector<std::string> names) {
+    for (const std::string& name : names)
+      paths.push_back(::testing::TempDir() + "/" + name);
+    clean();
+  }
+  ~ScratchLogs() { clean(); }
+  ScratchLogs(const ScratchLogs&) = delete;
+  ScratchLogs& operator=(const ScratchLogs&) = delete;
+
+  void clean() const {
+    for (const std::string& p : paths) {
+      std::remove(p.c_str());
+      std::remove((p + ".bak").c_str());
+    }
+  }
+};
+
+/// A synth heap past four capture threads' worth of objects: 2,600
+/// compounds x 26 objects = 67,600, a quarter of list 0 dirtied per epoch.
+synth::SynthConfig auto_pick_heap() {
+  synth::SynthConfig config;
+  config.num_structures = 2600;
+  config.modified_lists = 1;
+  config.percent_modified = 25;
+  return config;
+}
+
+/// The default manager (ManagerOptions::kAutoThreads) sizes each take from
+/// the previous one, so past its first take it shards this heap. Its log
+/// must be byte-identical to a manager pinned to the serial driver, fed the
+/// same dirty state epoch by epoch.
+TEST(ParallelEquivalence, AutoThreadsManagerLogMatchesSerialManager) {
+  const ScratchLogs logs({"ickpt_parallel_equiv_auto.log",
+                          "ickpt_parallel_equiv_serial.log"});
+  core::Heap heap;
+  synth::SynthWorkload workload(heap, auto_pick_heap());
+  ASSERT_GE(workload.total_objects(), 36000u);
+
+  core::ManagerOptions serial_opts;
+  serial_opts.capture_threads = 1;
+  {
+    core::CheckpointManager auto_manager(logs.paths[0]);
+    core::CheckpointManager serial_manager(logs.paths[1], serial_opts);
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      if (epoch > 0) workload.mutate();
+      const std::vector<bool> flags = workload.save_flags();
+      const core::TakeResult a = auto_manager.take(workload.root_bases());
+      workload.restore_flags(flags);
+      const core::TakeResult s = serial_manager.take(workload.root_bases());
+      EXPECT_EQ(a.mode, s.mode) << "epoch " << epoch;
+      EXPECT_EQ(a.bytes, s.bytes) << "epoch " << epoch;
+      EXPECT_EQ(a.stats.objects_recorded, s.stats.objects_recorded)
+          << "epoch " << epoch;
+    }
+  }
+  const std::vector<std::uint8_t> auto_log = io::read_file(logs.paths[0]);
+  ASSERT_FALSE(auto_log.empty());
+  EXPECT_TRUE(auto_log == io::read_file(logs.paths[1]))
+      << "the auto-threaded log differs from the serial one";
+}
+
+/// A node folding any number of children: shapes heaps sharded capture can
+/// or cannot split.
+class Hub final : public core::WithCheckpointInfo {
+ public:
+  static constexpr TypeId kTypeId = 951;
+
+  std::vector<core::Checkpointable*> kids;
+
+  [[nodiscard]] TypeId type_id() const noexcept override { return kTypeId; }
+
+  void record(io::DataWriter& d) const override {
+    d.write_varint(kids.size());
+    for (const core::Checkpointable* k : kids) core::write_child_id(d, k);
+  }
+
+  void fold(core::Checkpoint& c) override {
+    for (core::Checkpointable* k : kids) c.checkpoint(*k);
+  }
+
+  void restore_record(io::DataReader& d, core::Recovery&) override {
+    const std::uint64_t n = d.read_varint();
+    for (std::uint64_t i = 0; i < n; ++i) (void)d.read_varint();
+  }
+};
+
+/// The pool runs on no more threads than it has items that walk; a split
+/// root's own record keeps no thread busy. One root over a single child
+/// cannot be split and captures serially at any thread count, and two
+/// children feed two threads at most. The bytes are the serial walk's
+/// either way.
+TEST(ParallelEquivalence, ThreadsFollowTheItemsThatWalk) {
+  core::Heap heap;
+  Hub* hub = heap.make<Hub>();
+  for (int i = 0; i < 64; ++i) hub->kids.push_back(heap.make<Leaf>());
+  Hub* narrow = heap.make<Hub>();
+  narrow->kids = {hub};
+  Hub* pair = heap.make<Hub>();
+  pair->kids = {heap.make<Leaf>(), hub};
+
+  for (const auto& [root, walks] :
+       {std::pair<Hub*, unsigned>{narrow, 1}, {pair, 2}}) {
+    const std::vector<core::Checkpointable*> roots{root};
+    const auto serial = serial_bytes(roots, 3, core::Mode::kFull,
+                                     /*cycle_guard=*/false);
+    for (unsigned threads = 2; threads <= kMaxThreads; ++threads) {
+      const std::string context = "walks " + std::to_string(walks) +
+                                  " threads " + std::to_string(threads);
+      ParallelOptions popts;
+      popts.mode = core::Mode::kFull;
+      popts.threads = threads;
+      ParallelStats stats;
+      EXPECT_EQ(parallel_bytes(roots, 3, popts, &stats), serial) << context;
+      EXPECT_EQ(stats.threads_used, std::min(threads, walks)) << context;
+      EXPECT_EQ(stats.shard_stats.empty(), walks == 1) << context;
+    }
+  }
+}
+
+std::size_t parallel_spans(const std::vector<obs::TraceEvent>& events) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [](const auto& ev) {
+        return std::string(ev.name) == "checkpoint.parallel";
+      }));
+}
+
+/// A metrics registry and a trace collector installed for one scope.
+struct ScopedObs {
+  obs::Registry registry;
+  obs::TraceCollector collector;
+  ScopedObs() {
+    obs::Registry::install(&registry);
+    obs::TraceCollector::install(&collector);
+    (void)collector.drain();
+  }
+  ~ScopedObs() {
+    obs::TraceCollector::install(nullptr);
+    obs::Registry::install(nullptr);
+  }
+  ScopedObs(const ScopedObs&) = delete;
+  ScopedObs& operator=(const ScopedObs&) = delete;
+};
+
+/// A manager's first take has no object count to size from and runs
+/// serially; the next one shards on capture_threads_for(what the first
+/// visited) threads. A pinned count of 1 never shards.
+TEST(ParallelEquivalence, AutoThreadsShardFromTheSecondTake) {
+  const ScratchLogs logs({"ickpt_parallel_equiv_pick.log",
+                          "ickpt_parallel_equiv_pinned.log"});
+  ScopedObs obs_scope;
+  obs::TraceCollector& collector = obs_scope.collector;
+
+  core::Heap heap;
+  synth::SynthWorkload workload(heap, auto_pick_heap());
+  {
+    core::CheckpointManager manager(logs.paths[0]);
+    const core::TakeResult first = manager.take(workload.root_bases());
+    EXPECT_EQ(parallel_spans(collector.drain()), 0u)
+        << "the first take has no measurement and must run serially";
+    if (core::usable_cpus() >= 2) {
+      workload.mutate();
+      (void)manager.take(workload.root_bases());
+      EXPECT_EQ(parallel_spans(collector.drain()), 1u);
+      const unsigned expected =
+          core::capture_threads_for(first.stats.objects_visited);
+      EXPECT_GE(expected, 2u);
+      const obs::Snapshot snapshot = obs_scope.registry.snapshot();
+      const obs::MetricSnapshot* threads =
+          snapshot.find("ickpt_capture_threads");
+      ASSERT_NE(threads, nullptr);
+      EXPECT_EQ(threads->gauge_value, static_cast<std::int64_t>(expected));
+    }
+  }
+  {
+    core::ManagerOptions pinned;
+    pinned.capture_threads = 1;
+    core::CheckpointManager manager(logs.paths[1], pinned);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      workload.mutate();
+      (void)manager.take(workload.root_bases());
+    }
+    EXPECT_EQ(parallel_spans(collector.drain()), 0u)
+        << "capture_threads = 1 must stay on the serial driver";
+  }
+}
+
+/// Under the default, a heap that hangs off the only child of its only
+/// root captures serially however many objects it has: sharded capture has
+/// nothing to split it into.
+TEST(ParallelEquivalence, AutoThreadsLeaveANarrowHeapSerial) {
+  const ScratchLogs logs({"ickpt_parallel_equiv_narrow.log"});
+  ScopedObs obs_scope;
+  core::Heap heap;
+  Hub* hub = heap.make<Hub>();
+  std::vector<Leaf*> leaves;
+  for (int i = 0; i < 40000; ++i) {
+    leaves.push_back(heap.make<Leaf>());
+    hub->kids.push_back(leaves.back());
+  }
+  Hub* root = heap.make<Hub>();
+  root->kids = {hub};
+
+  core::CheckpointManager manager(logs.paths[0]);
+  const core::TakeResult first = manager.take(*root);
+  // The object count alone would shard the next take.
+  EXPECT_GE(core::capture_threads_for(first.stats.objects_visited, 4), 2u);
+  for (int epoch = 1; epoch < 3; ++epoch) {
+    for (std::size_t i = epoch; i < leaves.size(); i += 4)
+      leaves[i]->set_i32(epoch);
+    const core::TakeResult taken = manager.take(*root);
+    EXPECT_EQ(taken.stats.objects_recorded, leaves.size() / 4)
+        << "epoch " << epoch;
+  }
+  EXPECT_EQ(parallel_spans(obs_scope.collector.drain()), 0u);
+}
+
+/// One thread per 2^14 objects, serial below two, and never more than four
+/// (the widest count measured) or the CPUs there are.
+TEST(CaptureThreadsPick, SerialBelowTwoThreadsWorthOfObjects) {
+  constexpr std::uint64_t kTwoThreads = std::uint64_t{1} << 15;
+  for (unsigned cpus : {1u, 2u, 3u, 4u, 8u, 64u}) {
+    SCOPED_TRACE("cpus " + std::to_string(cpus));
+    EXPECT_EQ(core::capture_threads_for(0, cpus), 1u);
+    EXPECT_EQ(core::capture_threads_for(kTwoThreads - 1, cpus), 1u);
+    EXPECT_EQ(core::capture_threads_for(kTwoThreads, cpus),
+              std::min(2u, cpus));
+    EXPECT_EQ(core::capture_threads_for(3 * kTwoThreads / 2, cpus),
+              std::min(3u, cpus));
+    EXPECT_EQ(core::capture_threads_for(std::uint64_t{1} << 30, cpus),
+              std::min(4u, cpus));
+  }
+  EXPECT_EQ(core::capture_threads_for(kTwoThreads - 1), 1u);
+  EXPECT_EQ(core::capture_threads_for(std::uint64_t{1} << 30),
+            std::min(4u, core::usable_cpus()));
+}
+
+/// usable_cpus() counts the CPUs this thread may run on, not the CPUs
+/// online: narrowed to one CPU, a 4-thread capture is oversubscribed (no
+/// backlog ahead of the frontier) and no heap is big enough to shard.
+TEST(CaptureThreadsPick, FollowsTheThreadAffinityMask) {
+#if defined(__linux__)
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned cpus = core::usable_cpus();
+  const std::size_t budget = core::auto_backlog_budget(4);
+  const unsigned pick = core::capture_threads_for(1 << 20);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(cpus, 1u);
+  EXPECT_EQ(budget, 0u);
+  EXPECT_EQ(pick, 1u);
+  EXPECT_EQ(core::usable_cpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+#else
+  GTEST_SKIP() << "thread affinity masks are Linux-only";
+#endif
 }
 
 }  // namespace

@@ -323,6 +323,48 @@ TEST(Recovery, ObjectChangingTypeBetweenFramesThrowsTypeError) {
   EXPECT_THROW(recovery.apply(delta_reader), TypeError);
 }
 
+TEST(Recovery, LargestObjectIdThrowsBeforeAnyFactoryRuns) {
+  // No process hands out 2^64 - 1, and restoring it would wrap IdAllocator
+  // past it to the null id, so both modes refuse the record before its
+  // factory constructs anything.
+  constexpr ObjectId kLargest = std::numeric_limits<ObjectId>::max();
+  static_assert(kLargest == core::IdAllocator::kMaxId + 1);
+  auto bytes = handmade_stream(Mode::kFull, 0, kLargest,
+                               [](io::DataWriter& w) {
+                                 write_leaf(w, kLargest);
+                               });
+  auto registry = make_registry();
+  for (Recovery::ApplyMode mode :
+       {Recovery::ApplyMode::kMaterialize, Recovery::ApplyMode::kScan}) {
+    Recovery recovery(registry, mode);
+    io::DataReader reader(bytes);
+    EXPECT_THROW(recovery.apply(reader), CorruptionError);
+  }
+  EXPECT_NE(core::IdAllocator::next(), kNullObjectId);
+}
+
+TEST(RecoveryDeathTest, RestoringTheLastIdStopsTheNextAllocation) {
+  // 2^64 - 2 is the last id a process may hand out, so a stream may carry
+  // it. Restoring it uses the allocator up: the next fresh object aborts
+  // the process instead of taking 2^64 - 1, which recovery would reject,
+  // or the null id after it. The child process dies; this one's allocator
+  // is untouched.
+  constexpr ObjectId kLast = core::IdAllocator::kMaxId;
+  const auto bytes = handmade_stream(
+      Mode::kFull, 0, kLast, [](io::DataWriter& w) { write_leaf(w, kLast); });
+  auto registry = make_registry();
+  EXPECT_DEATH(
+      {
+        Recovery recovery(registry);
+        io::DataReader reader(bytes);
+        recovery.apply(reader);
+        const auto state = recovery.finish();
+        if (state.find(kLast) == nullptr) return;  // not restored: no death
+        (void)core::IdAllocator::next();
+      },
+      "");
+}
+
 TEST(Recovery, RootTypeMismatchThrows) {
   core::Heap heap;
   Leaf* leaf = heap.make<Leaf>();
