@@ -3,17 +3,20 @@
 // Grid: worker threads in {1,2,4,8} x structures in {N/4, N} (N from
 // ICKPT_BENCH_STRUCTURES, default the paper's 20,000), full mode plus an
 // incremental epoch at 25% modified, plus an `auto` row per grid point at
-// core::capture_threads_for(objects) threads — the count a default
-// CheckpointManager picks for a heap that size. Each row is timed in pairs
+// the count a default CheckpointManager picks: for a full capture
+// core::full_capture_threads_for(the payload's bytes), for an incremental
+// one core::capture_threads_for(objects). Each row is timed in pairs
 // against the serial generic driver on identical dirty state: every pair
 // runs both once, the serial driver first in even pairs and second in odd
 // ones. So each side follows the other as often as itself, and drift, a
 // neighbour's load, and caches that the previous run's threads left warm
-// fall on both sides alike. `threads=1` goes through ParallelCheckpoint's
-// serial delegation, so its row doubles as the "no regression at one
-// thread" check. Speedup is the pairs' serial p50 / parallel p50. Rows land
-// in BENCH_parallel.json unless ICKPT_BENCH_JSON overrides the path; the
-// engine=serial row pools every pair's serial runs.
+// fall on both sides alike. Both sides write into a ChunkSink from one
+// pool that lives across the whole run, as a manager's takes do. `threads=1`
+// goes through ParallelCheckpoint's serial delegation, so its row doubles
+// as the "no regression at one thread" check. Speedup is the pairs' serial
+// p50 / parallel p50. Rows land in BENCH_parallel.json unless
+// ICKPT_BENCH_JSON overrides the path; the engine=serial row pools every
+// pair's serial runs.
 //
 // Read the speedup column against the hardware: on a single-core machine
 // every thread count timeslices one core and the curve is flat at ~1x (plus
@@ -23,9 +26,10 @@
 // `--smoke` runs a reduced grid, 15 pairs per row, as a ctest regression
 // gate: with >= 4 usable CPUs (core::usable_cpus()), the threads=4 and auto
 // medians must each be <= their pairs' serial median (the "parallel
-// capture actually wins" contract, with a small noise allowance); below 4
-// CPUs that comparison is timeslicing noise, so the gate reports a skip and
-// exits clean.
+// capture actually wins" contract, with a small noise allowance), in full
+// mode (the auto row at the bytes pick) and incremental mode alike; below
+// 4 CPUs that comparison is timeslicing noise, so the gate reports a skip
+// and exits clean.
 #include <chrono>
 #include <string>
 #include <vector>
@@ -33,6 +37,7 @@
 #include "bench/bench_util.hpp"
 #include "core/parallel_checkpoint.hpp"
 #include "core/segment_merge.hpp"
+#include "io/byte_sink.hpp"
 
 using namespace ickpt;
 using namespace ickpt::bench;
@@ -48,32 +53,33 @@ struct Paired {
 
 /// Time ParallelCheckpoint at `threads` against the serial driver over
 /// `reps` pairs (+1 warmup pair) on the dirty state `flags`, alternating
-/// which side runs first as the header describes.
+/// which side runs first as the header describes. Chunks come from `pool`.
 Paired time_against_serial(synth::SynthWorkload& workload, core::Mode mode,
                            const std::vector<bool>& flags, unsigned threads,
-                           int reps) {
+                           int reps, io::ChunkPool& pool) {
   using clock = std::chrono::steady_clock;
   Paired out;
+  io::ChunkSink sink(pool);
   for (int r = 0; r <= reps; ++r) {
     for (int side = 0; side < 2; ++side) {
       const bool serial = (side == 0) == (r % 2 == 0);
       workload.restore_flags(flags);
+      sink.clear();
       const auto t0 = clock::now();
-      io::CountingSink sink;
-      io::DataWriter writer(sink);
       if (serial) {
+        io::DataWriter writer(sink);
         core::CheckpointOptions opts;
         opts.mode = mode;
         core::Checkpoint::run(writer, 0, workload.root_bases(), opts);
+        writer.flush();
       } else {
         core::ParallelOptions opts;
         opts.mode = mode;
         opts.threads = threads;
-        core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
+        core::ParallelCheckpoint::run(sink, 0, workload.root_bases(), opts);
       }
-      writer.flush();
       const auto t1 = clock::now();
-      out.bytes = sink.count();
+      out.bytes = sink.size();
       if (r == 0) continue;  // the first pair is warmup
       (serial ? out.serial : out.parallel)
           .push_back(std::chrono::duration<double>(t1 - t0).count());
@@ -106,6 +112,8 @@ int main(int argc, char** argv) {
   const bool gated = smoke && cpus >= 4;
   constexpr double kNoiseFactor = 1.05;
   int gate_failures = 0;
+  // One pool for every run, as one manager keeps one across its takes.
+  io::ChunkPool pool;
 
   for (std::size_t structures :
        {bench_structures() / 4, bench_structures()}) {
@@ -114,8 +122,6 @@ int main(int argc, char** argv) {
     config.num_structures = structures;
     core::Heap heap;
     synth::SynthWorkload workload(heap, config);
-    const unsigned auto_threads =
-        core::capture_threads_for(workload.total_objects());
 
     struct Case {
       core::Mode mode;
@@ -131,38 +137,38 @@ int main(int argc, char** argv) {
 
       const std::string grid_base =
           "structures=" + std::to_string(structures) + " mode=" + c.name;
-      struct Row {
-        std::string engine;
-        unsigned threads;
-      };
-      std::vector<Row> rows;
-      for (unsigned threads : {1u, 2u, 4u, 8u})
-        rows.push_back({"parallel threads=" + std::to_string(threads), threads});
-      rows.push_back({"auto threads=" + std::to_string(auto_threads),
-                      auto_threads});
       std::vector<double> all_serial;
       std::size_t bytes = 0;
-      for (const Row& row : rows) {
-        const bool is_auto = &row == &rows.back();
-        Paired p = time_against_serial(workload, c.mode, flags, row.threads,
-                                       bench_reps());
+      // The pinned counts first: the threads=1 row measures the payload the
+      // bytes pick of the full-mode auto row needs.
+      for (unsigned threads : {1u, 2u, 4u, 8u, 0u}) {
+        const bool is_auto = threads == 0;
+        if (is_auto)
+          threads = c.mode == core::Mode::kFull
+                        ? core::full_capture_threads_for(bytes)
+                        : core::capture_threads_for(workload.total_objects());
+        const std::string engine =
+            (is_auto ? "auto threads=" : "parallel threads=") +
+            std::to_string(threads);
+        Paired p = time_against_serial(workload, c.mode, flags, threads,
+                                       bench_reps(), pool);
         bytes = p.bytes;
         all_serial.insert(all_serial.end(), p.serial.begin(), p.serial.end());
         const TimingStats serial = stats_of(std::move(p.serial));
         const TimingStats par = stats_of(std::move(p.parallel));
         print_row({std::to_string(structures), c.name,
-                   is_auto ? "auto=" + std::to_string(row.threads)
-                           : std::to_string(row.threads),
+                   is_auto ? "auto=" + std::to_string(threads)
+                           : std::to_string(threads),
                    fmt_ms(serial.p50), fmt_ms(par.p50), fmt_ms(par.best),
                    fmt_ms(par.p95), fmt_mb(p.bytes),
                    fmt_x(serial.p50 / par.p50)});
         JsonReport::instance().add("parallel",
-                                   grid_base + " engine=" + row.engine, par,
+                                   grid_base + " engine=" + engine, par,
                                    p.bytes);
-        if (gated && (is_auto || row.threads == 4) &&
+        if (gated && (is_auto || threads == 4) &&
             par.p50 > serial.p50 * kNoiseFactor) {
           std::printf("GATE %s %s: parallel p50 %.6fs vs serial p50 %.6fs\n",
-                      row.engine.c_str(), grid_base.c_str(), par.p50,
+                      engine.c_str(), grid_base.c_str(), par.p50,
                       serial.p50);
           ++gate_failures;
         }

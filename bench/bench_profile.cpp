@@ -5,8 +5,9 @@
 // capture path (CheckpointOptions/ParallelOptions::profile) and reports the
 // per-stage attribution of the final rep next to the usual timing stats:
 // root walk, dirty test, serialize, claim arbitration, merge — plus the
-// contention counters (claim-table lock misses, steal attempts/failures,
-// visited-set probes). Rows land in BENCH_profile.json (override with
+// contention counters (claim CAS retries, visited-set probes). Both engines
+// write into a ChunkSink whose pool lives across the reps, as a manager's
+// takes do. Rows land in BENCH_profile.json (override with
 // ICKPT_BENCH_JSON) with the raw per-stage nanoseconds.
 //
 // The harness also certifies the profiler itself: stage times are
@@ -45,24 +46,26 @@ ProfiledRun measure_profiled(synth::SynthWorkload& workload, core::Mode mode,
                              unsigned threads,
                              const std::vector<bool>& flags) {
   ProfiledRun out;
+  io::ChunkPool pool;
+  io::ChunkSink sink(pool);
   auto body = [&] {
     out.profile.reset();
-    io::CountingSink sink;
-    io::DataWriter writer(sink);
+    sink.clear();
     if (threads == 0) {
+      io::DataWriter writer(sink);
       core::CheckpointOptions opts;
       opts.mode = mode;
       opts.profile = &out.profile;
       core::Checkpoint::run(writer, 0, workload.root_bases(), opts);
+      writer.flush();
     } else {
       core::ParallelOptions opts;
       opts.mode = mode;
       opts.threads = threads;
       opts.profile = &out.profile;
-      core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
+      core::ParallelCheckpoint::run(sink, 0, workload.root_bases(), opts);
     }
-    writer.flush();
-    out.bytes = sink.count();
+    out.bytes = sink.size();
   };
   out.stats = time_stats([&] { workload.restore_flags(flags); }, body);
   return out;
@@ -91,12 +94,7 @@ JsonReport::Fields attribution(const obs::CaptureProfile& p) {
                  {"records", p.records},
                  {"shards", p.shards},
                  {"visited_probes", p.visited_probes},
-                 {"claim_cas_retries", p.claim_cas_retries},
-                 {"steal_attempts", p.steal_attempts},
-                 {"steal_failures", p.steal_failures},
-                 {"shard_sink_bytes", p.shard_sink_bytes},
-                 {"direct_stream_bytes", p.direct_stream_bytes},
-                 {"merge_buffered_peak_bytes", p.merge_buffered_peak_bytes}});
+                 {"claim_cas_retries", p.claim_cas_retries}});
   return fields;
 }
 

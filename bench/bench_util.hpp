@@ -5,8 +5,9 @@
 // paper likewise defers the copy to stable storage). Flags are snapshotted
 // and replayed so that each engine measures the identical dirty state.
 // Each measurement keeps every rep's raw time and reports
-// best/p50/p95/max/mean — best-of sheds scheduler noise for the headline
-// number, the exact order statistics show how noisy the run actually was.
+// best/p50/p95/max/mean, MAD and n — best-of sheds scheduler noise for the
+// headline number, the exact order statistics and the median absolute
+// deviation show how noisy the run actually was.
 // Workload scale defaults to the paper's 20,000 compound structures; set
 // ICKPT_BENCH_STRUCTURES to shrink it on slow machines. Benchmarks that
 // call JsonReport::add additionally write their rows to BENCH_obs.json
@@ -54,31 +55,42 @@ inline int bench_reps() {
 
 /// Distribution of one measurement's reps, all exact. p50/p95 are
 /// nearest-rank order statistics (the sample at rank ceil(p*n)), so each is
-/// a measured rep and best <= p50 <= p95 <= max holds by construction.
+/// a measured rep and best <= p50 <= p95 <= max holds by construction. mad
+/// is the nearest-rank median of |rep - p50|, so mad <= max - best.
 struct TimingStats {
   double best = 0;
   double p50 = 0;
   double p95 = 0;
   double max = 0;
   double mean = 0;
+  double mad = 0;
+  std::size_t n = 0;
 };
+
+/// The nearest-rank p-quantile of sorted, non-empty `sorted`.
+inline double nearest_rank(const std::vector<double>& sorted, double p) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(sorted.size())));
+  return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+}
 
 /// The exact order statistics of raw per-rep times (seconds).
 inline TimingStats stats_of(std::vector<double> samples) {
   TimingStats stats;
   if (samples.empty()) return stats;
   std::sort(samples.begin(), samples.end());
-  auto nearest_rank = [&samples](double p) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(samples.size())));
-    return samples[std::clamp<std::size_t>(rank, 1, samples.size()) - 1];
-  };
+  stats.n = samples.size();
   stats.best = samples.front();
-  stats.p50 = nearest_rank(0.50);
-  stats.p95 = nearest_rank(0.95);
+  stats.p50 = nearest_rank(samples, 0.50);
+  stats.p95 = nearest_rank(samples, 0.95);
   stats.max = samples.back();
   stats.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
                static_cast<double>(samples.size());
+  std::vector<double> deviations;
+  deviations.reserve(samples.size());
+  for (double x : samples) deviations.push_back(std::fabs(x - stats.p50));
+  std::sort(deviations.begin(), deviations.end());
+  stats.mad = nearest_rank(deviations, 0.50);
   return stats;
 }
 
@@ -198,12 +210,13 @@ class JsonReport {
     std::string out = "[\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
-      char buf[256];
+      char buf[320];
       std::snprintf(buf, sizeof(buf),
                     "\"best_s\": %.9g, \"p50_s\": %.9g, \"p95_s\": %.9g, "
-                    "\"max_s\": %.9g, \"mean_s\": %.9g, \"bytes\": %zu",
+                    "\"max_s\": %.9g, \"mean_s\": %.9g, \"mad_s\": %.9g, "
+                    "\"n\": %zu, \"bytes\": %zu",
                     r.stats.best, r.stats.p50, r.stats.p95, r.stats.max,
-                    r.stats.mean, r.bytes);
+                    r.stats.mean, r.stats.mad, r.stats.n, r.bytes);
       out += "  {\"bench\": \"" + escape(r.bench) + "\", \"config\": \"" +
              escape(r.config) + "\", " + buf;
       for (const auto& [name, value] : r.extra)

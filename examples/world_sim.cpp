@@ -259,6 +259,9 @@ int main() {
   registry.register_type<Caravan>();
 
   io::StableStorage storage(log_path);
+  // Payload chunks; declared before the async log, whose worker hands the
+  // chunks of each appended payload back to it.
+  io::ChunkPool pool;
   core::AsyncLog async(storage);
 
   // One adaptive checkpointer per phase: each learns its phase's pattern.
@@ -272,24 +275,24 @@ int main() {
   // Epoch 0: one generic full checkpoint as the recovery base.
   Epoch epoch = 0;
   {
-    io::VectorSink sink;
+    io::ChunkSink sink(pool);
     io::DataWriter writer(sink);
     core::CheckpointOptions opts;
     opts.mode = core::Mode::kFull;
     core::Checkpoint::run(writer, epoch++, world.bases, opts);
     writer.flush();
-    async.submit(sink.take());
+    async.submit(std::move(sink));
   }
 
   auto run_phase = [&](const char* name, spec::AdaptiveCheckpointer& ckpt,
                        auto&& tick, int epochs) {
     for (int e = 0; e < epochs; ++e) {
       tick();
-      io::VectorSink sink;
+      io::ChunkSink sink(pool);
       io::DataWriter writer(sink);
       auto result = ckpt.checkpoint(writer, epoch++, roots);
       writer.flush();
-      async.submit(sink.take());
+      async.submit(std::move(sink));
       std::printf("  %-7s epoch %3llu: %7zu bytes (%s)\n", name,
                   (unsigned long long)(epoch - 1), result.bytes,
                   result.stage_used ==

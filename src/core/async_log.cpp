@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -56,7 +57,7 @@ void AsyncLog::rethrow_locked(std::unique_lock<std::mutex>&) {
   }
 }
 
-void AsyncLog::submit(std::vector<std::uint8_t> payload) {
+void AsyncLog::submit(io::ChunkSink&& payload) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     rethrow_locked(lock);
@@ -122,7 +123,7 @@ void AsyncLog::rebind_metrics() {
 
 void AsyncLog::worker() {
   for (;;) {
-    std::vector<std::uint8_t> payload;
+    std::optional<io::ChunkSink> payload;
     bool profiling = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -131,7 +132,7 @@ void AsyncLog::worker() {
         if (stop_) return;
         continue;
       }
-      payload = std::move(queue_.front());
+      payload.emplace(std::move(queue_.front()));
       queue_.pop_front();
       in_flight_ = true;
       profiling = profiling_;
@@ -154,7 +155,7 @@ void AsyncLog::worker() {
       prof_t0 = obs::trace_now_ns();
     }
     try {
-      storage_.append(payload);
+      storage_.append(payload->ranges());
       obs_appends_.inc();
     } catch (const std::exception& e) {
       error = std::make_exception_ptr(
@@ -176,6 +177,9 @@ void AsyncLog::worker() {
       local.stage_ns[P::kWrite] += elapsed > fsync_ns ? elapsed - fsync_ns : 0;
       local.busy_ns += elapsed;
     }
+    // The chunks go back to their pool before the append counts as done,
+    // so a drain() that returns sees them there.
+    payload.reset();
     bool poisoned_now = false;
     std::size_t dropped_now = 0;
     {

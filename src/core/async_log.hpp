@@ -6,7 +6,9 @@
 // state into an in-memory buffer (fast, still blocking — it must be
 // consistent), and the *disk append* is deferred to a background thread.
 // Appends happen strictly in submission order, so the on-disk log is
-// identical to what synchronous operation would produce.
+// identical to what synchronous operation would produce. A queued payload
+// is the take's ChunkSink itself: its chunks go back to their pool once the
+// worker has appended it, or when a poisoned log drops it.
 //
 // Error contract: a failed background append poisons the log. The error —
 // tagged with the sequence number of the frame that failed — is rethrown
@@ -23,8 +25,8 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <vector>
 
+#include "io/byte_sink.hpp"
 #include "io/stable_storage.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -40,11 +42,13 @@ class AsyncLog {
 
   /// Drains outstanding appends, then stops the worker. A pending append
   /// error that no drain()/submit() ever observed is printed to stderr.
+  /// The pools the queued payloads draw from must outlive the log.
   ~AsyncLog();
 
-  /// Enqueue one checkpoint payload for appending. Returns immediately.
-  /// Throws the deferred append error if the log is poisoned.
-  void submit(std::vector<std::uint8_t> payload);
+  /// Enqueue one checkpoint payload for appending, taking its chunks.
+  /// Returns immediately. Throws the deferred append error if the log is
+  /// poisoned, leaving `payload` as it was.
+  void submit(io::ChunkSink&& payload);
 
   /// Block until every submitted payload is durably appended; rethrows the
   /// deferred append error (with the failed frame's seq in the message).
@@ -56,9 +60,10 @@ class AsyncLog {
   /// payloads and every drain()/submit() rethrows the error.
   [[nodiscard]] bool poisoned() const;
 
-  /// Queued payloads discarded when the log was poisoned (0 while healthy).
-  /// The in-flight payload whose append failed is not counted. The healing
-  /// manager adds 1 for it when accounting lost epochs.
+  /// Queued payloads discarded when the log was poisoned (0 while healthy);
+  /// their chunks went back to their pool. The in-flight payload whose
+  /// append failed is not counted. The healing manager adds 1 for it when
+  /// accounting lost epochs.
   [[nodiscard]] std::size_t dropped() const;
 
   /// Toggle per-append stage attribution on the worker thread. While on,
@@ -92,7 +97,7 @@ class AsyncLog {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  std::deque<std::vector<std::uint8_t>> queue_;
+  std::deque<io::ChunkSink> queue_;
   bool profiling_ = false;
   obs::CaptureProfile worker_profile_;
   std::exception_ptr error_;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/manager.hpp"
+#include "core/parallel_checkpoint.hpp"
 #include "core/recovery_note.hpp"
 #include "core/retention.hpp"
 #include "io/byte_sink.hpp"
@@ -129,10 +130,13 @@ bool apply_window(const std::string& path, const io::FrameIndex& index,
 /// travel). recover_chain wraps this with the fall-back across quarantined
 /// generations. `shared`, when given, is index_log(path): compaction builds
 /// it once for all its recoveries. Otherwise this builds its own.
+/// `anchor_bytes`, when given, receives the payload size of the full
+/// checkpoint the recovered window starts at.
 RecoverResult recover_one(const std::string& path,
                           const TypeRegistry& registry,
                           std::optional<Epoch> target,
-                          const io::FrameIndex* shared) {
+                          const io::FrameIndex* shared,
+                          std::size_t* anchor_bytes = nullptr) {
   obs::Span span("checkpoint.recover", "recovery");
 
   // Pass 1: index the log without materializing payloads.
@@ -224,6 +228,7 @@ RecoverResult recover_one(const std::string& path,
         continue;
       }
       result.checkpoints_applied = applied;
+      if (anchor_bytes != nullptr) *anchor_bytes = index.frames[i].payload_bytes;
       recovered = true;
     }
     if (recovered) break;
@@ -354,12 +359,12 @@ RecoverResult recover_chain(const std::string& path,
       live_error + ")");
 }
 
-/// Serialize `state` as one full-checkpoint payload carrying its epoch.
-/// Serial on purpose: sharding the rewrite of a recovered 520k-object state
-/// cut it from 63 to 38 ms on 4 threads, but the segments recorded ahead of
-/// the merge frontier, in the workers' malloc arenas, raised the process's
-/// peak RSS by 25 MB, on top of the recovered state.
-std::vector<std::uint8_t> full_payload_of(RecoveredState& state) {
+/// Serialize `state` as one full-checkpoint payload carrying its epoch into
+/// `sink`, sharded like a full take: full_capture_threads_for the size of
+/// the full frame the state was recovered from, which a rewrite of the same
+/// state closely matches. The stream is the serial walk's byte for byte.
+void full_payload_of(RecoveredState& state, std::size_t anchor_bytes,
+                     io::ChunkSink& sink) {
   std::vector<Checkpointable*> roots;
   roots.reserve(state.roots.size());
   for (ObjectId id : state.roots) {
@@ -368,15 +373,11 @@ std::vector<std::uint8_t> full_payload_of(RecoveredState& state) {
       throw CorruptionError("compaction: root vanished during recovery");
     roots.push_back(obj);
   }
-  io::VectorSink sink;
-  {
-    io::DataWriter writer(sink);
-    CheckpointOptions copts;
-    copts.mode = Mode::kFull;
-    Checkpoint::run(writer, state.epoch, roots, copts);
-    writer.flush();
-  }
-  return sink.take();
+  sink.clear();
+  ParallelOptions popts;
+  popts.mode = Mode::kFull;
+  popts.threads = full_capture_threads_for(anchor_bytes);
+  ParallelCheckpoint::run(sink, state.epoch, roots, popts);
 }
 
 }  // namespace
@@ -480,14 +481,20 @@ CompactResult CheckpointManager::compact(const std::string& path,
     io::StableStorage fresh(tmp_path,
                             io::StorageOptions{.durable = true,
                                                .fault = opts.fault});
+    // The rewrite's chunks: mapped on the first kept state, reused by the
+    // next, unmapped when the compaction returns.
+    io::ChunkPool pool;
+    io::ChunkSink payload(pool);
     // Materialize each kept state as a full frame with seq == epoch: every
     // retained epoch then recovers in one frame, and epoch numbering
     // (epoch_ = next_seq()) resumes correctly past the rewrite. Oldest
     // first, one recovered state in memory at a time.
     for (const std::optional<Epoch>& target : keep) {
       RecoveredState state;
+      std::size_t anchor_bytes = 0;
       try {
-        state = recover_one(path, registry, target, &index).state;
+        state = recover_one(path, registry, target, &index, &anchor_bytes)
+                    .state;
       } catch (const CorruptionError&) {
         // A squash has nothing else to keep. A scheduled epoch whose window
         // is damaged cannot be carried forward; drop it rather than fail
@@ -496,11 +503,11 @@ CompactResult CheckpointManager::compact(const std::string& path,
         ++result.epochs_dropped;
         continue;
       }
-      const std::vector<std::uint8_t> payload = full_payload_of(state);
+      full_payload_of(state, anchor_bytes, payload);
       result.objects = state.by_id.size();  // newest survives the loop
       result.bytes_after = payload.size();  // kBinomial: file size, below
       fresh.set_next_seq(state.epoch);
-      fresh.append(payload);
+      fresh.append(payload.ranges());
       result.retained.push_back(state.epoch);
     }
     if (result.retained.empty())

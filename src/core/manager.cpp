@@ -87,6 +87,7 @@ CheckpointManager::CheckpointManager(std::string path, ManagerOptions opts)
   // Resume epoch numbering after a restart: frames and epochs are appended
   // 1:1, so the next epoch is the next storage sequence number.
   epoch_ = storage_.next_seq();
+  last_full_bytes_ = storage_.largest_payload_at_open();
   if (opts_.heal.enabled) {
     epoch_ = std::max(epoch_, chain_next_epoch(storage_.path()));
     // Restarting on an existing log: the in-memory modified bits that drove
@@ -234,21 +235,26 @@ TakeResult CheckpointManager::take(Checkpointable& root) {
 
 CheckpointStats CheckpointManager::capture(
     Epoch epoch, std::span<Checkpointable* const> roots, Mode mode,
-    io::VectorSink& sink, obs::CaptureProfile* prof) {
+    io::ChunkSink& sink, obs::CaptureProfile* prof) {
   sink.clear();
-  io::DataWriter writer(sink);
-  // One thread hands the capture to the serial walker unchanged.
+  // One thread hands the capture to the serial walker unchanged. A full
+  // capture's cost is its bytes, an incremental one's its walk.
   ParallelOptions popts;
   popts.mode = mode;
   popts.cycle_guard = opts_.cycle_guard;
-  popts.threads = opts_.capture_threads == ManagerOptions::kAutoThreads
-                      ? capture_threads_for(last_visited_)
-                      : opts_.capture_threads;
+  popts.threads = opts_.capture_threads;
+  if (popts.threads == ManagerOptions::kAutoThreads)
+    popts.threads = mode == Mode::kFull
+                        ? full_capture_threads_for(last_full_bytes_)
+                        : capture_threads_for(last_visited_);
   popts.profile = prof;
   const CheckpointStats stats =
-      ParallelCheckpoint::run(writer, epoch, roots, popts).totals;
-  writer.flush();
+      ParallelCheckpoint::run(sink, epoch, roots, popts).totals;
   last_visited_ = stats.objects_visited;
+  if (mode == Mode::kFull) last_full_bytes_ = sink.size();
+  // Between takes the pool keeps no more chunks than this capture used, so
+  // the next take of the same kind finds its chunks warm.
+  pool_.keep(sink.chunks());
   return stats;
 }
 
@@ -278,7 +284,7 @@ TakeResult CheckpointManager::take_with_mode(
   if (needs_rebase_) mode = Mode::kFull;
   healed_this_take_ = false;
   obs::Span span("checkpoint.take", "checkpoint");
-  io::VectorSink sink;
+  io::ChunkSink sink(pool_);
   // The clock costs nothing unless a histogram cell is actually installed.
   const bool timed = metrics_.build_seconds.live();
   std::chrono::steady_clock::time_point t0;
@@ -335,7 +341,7 @@ TakeResult CheckpointManager::take_with_mode(
     result.seq = result.epoch;
     bool poisoned = false;
     try {
-      async_->submit(sink.take());
+      async_->submit(std::move(sink));
       any_submitted_ = true;
       last_submitted_ = result.epoch;
     } catch (const IoError& e) {
@@ -399,9 +405,9 @@ TakeResult CheckpointManager::take_with_mode(
 
 std::uint64_t CheckpointManager::append_healed(
     std::span<Checkpointable* const> roots, Epoch epoch, Mode& mode,
-    io::VectorSink& sink, CheckpointStats& stats) {
+    io::ChunkSink& sink, CheckpointStats& stats) {
   try {
-    const std::uint64_t seq = storage_.append(sink.bytes());
+    const std::uint64_t seq = storage_.append(sink.ranges());
     note_settled(epoch);
     return seq;
   } catch (const io::CrashFault&) {
@@ -414,7 +420,7 @@ std::uint64_t CheckpointManager::append_healed(
 
 std::uint64_t CheckpointManager::heal_append_failure(
     std::span<Checkpointable* const> roots, Epoch epoch, Mode& mode,
-    io::VectorSink& sink, CheckpointStats& stats,
+    io::ChunkSink& sink, CheckpointStats& stats,
     const std::string& first_error) {
   healed_this_take_ = true;
   last_error_ = first_error;
@@ -431,7 +437,7 @@ std::uint64_t CheckpointManager::heal_append_failure(
     flightrec_.record(obs::FlightEventType::kRetry, epoch, i + 1, 0,
                       last_error_);
     try {
-      const std::uint64_t seq = storage_.append(sink.bytes());
+      const std::uint64_t seq = storage_.append(sink.ranges());
       note_settled(epoch);
       return seq;
     } catch (const io::CrashFault&) {
@@ -457,7 +463,7 @@ std::uint64_t CheckpointManager::heal_append_failure(
         mode = Mode::kFull;
         stats = capture(epoch, roots, mode, sink);
       }
-      const std::uint64_t seq = storage_.append(sink.bytes());
+      const std::uint64_t seq = storage_.append(sink.ranges());
       if (opts_.heal.rotate_hook)
         opts_.heal.rotate_hook(io::RotateStage::kAfterRebase);
       note_settled(epoch);

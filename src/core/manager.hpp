@@ -47,18 +47,23 @@ struct ManagerOptions {
   static constexpr unsigned kAutoThreads = 0;
 
   /// Worker threads for checkpoint capture. kAutoThreads (the default)
-  /// runs each take on core::capture_threads_for(objects the previous
-  /// capture visited) threads: serial below 2 x 2^14 objects and on a
-  /// manager's first take, at most 4 (and usable_cpus()) on large heaps.
+  /// sizes each take on its own. An incremental take runs on
+  /// core::capture_threads_for(objects the previous capture visited)
+  /// threads, since its cost is its walk. A full take runs on
+  /// core::full_capture_threads_for(bytes of the newest full payload the
+  /// manager knows), since it records every object: its own last full or,
+  /// right after open, the log's largest frame. So the first take on an
+  /// empty log is serial, and a reopened log's first full take shards. At
+  /// most 4 threads (and usable_cpus()) on large heaps.
   /// The gain needs a wide heap, whose objects spread over many roots or
   /// over many children of the roots, because those are all sharded
   /// capture can split: a heap hanging off one root's only child (a linked
   /// list taken with take(*head)) stays serial, and one whose roots have
   /// few, lopsided children starts threads that save nothing. 1 pins the
   /// serial paper-faithful driver; N>1 pins N workers. Sharded capture
-  /// (core::ParallelCheckpoint) merges the segments behind one stream
+  /// (core::ParallelCheckpoint) splices the items' chunks behind one stream
   /// header — the payload format and recovery are unchanged, and with
-  /// cycle_guard off the merged stream is byte-identical to the serial one
+  /// cycle_guard off the stream is byte-identical to the serial one
   /// (tests/parallel_equiv_test.cpp). Anything above 1 relies on the
   /// concurrency contract in core/checkpointable.hpp.
   unsigned capture_threads = kAutoThreads;
@@ -112,6 +117,13 @@ class CheckpointManager {
   [[nodiscard]] const obs::CaptureProfile& last_capture_profile()
       const noexcept {
     return last_profile_;
+  }
+
+  /// The pool every take's payload chunks come from. It maps nothing before
+  /// the first take, holds no more chunks between takes than the last take
+  /// used, and unmaps everything when the manager is destroyed.
+  [[nodiscard]] const io::ChunkPool& chunk_pool() const noexcept {
+    return pool_;
   }
 
   /// The always-on epoch flight recorder: one structured event per epoch
@@ -211,9 +223,10 @@ class CheckpointManager {
   /// parallel per capture_threads. Factored out because healing re-captures
   /// (rebase fulls) for the same epoch after epoch_ has already advanced.
   /// `prof` (nullable) receives stage attribution for the walk. Records the
-  /// objects visited in last_visited_.
+  /// objects visited in last_visited_ and a full payload's size in
+  /// last_full_bytes_, and keeps the pool at this capture's chunk count.
   CheckpointStats capture(Epoch epoch, std::span<Checkpointable* const> roots,
-                          Mode mode, io::VectorSink& sink,
+                          Mode mode, io::ChunkSink& sink,
                           obs::CaptureProfile* prof = nullptr);
 
   /// Synchronous append with the healing ladder behind it: in-place
@@ -221,11 +234,11 @@ class CheckpointManager {
   /// the first IoError rethrows untouched. `mode`/`stats` are updated when
   /// a rebase forces a full re-capture. Returns the frame's seq.
   std::uint64_t append_healed(std::span<Checkpointable* const> roots,
-                              Epoch epoch, Mode& mode, io::VectorSink& sink,
+                              Epoch epoch, Mode& mode, io::ChunkSink& sink,
                               CheckpointStats& stats);
   std::uint64_t heal_append_failure(std::span<Checkpointable* const> roots,
                                     Epoch epoch, Mode& mode,
-                                    io::VectorSink& sink,
+                                    io::ChunkSink& sink,
                                     CheckpointStats& stats,
                                     const std::string& first_error);
 
@@ -249,11 +262,19 @@ class CheckpointManager {
   /// observability, like bumping a metric).
   mutable obs::FlightRecorder flightrec_;
   io::StableStorage storage_;
+  /// Declared before async_: payloads queued there hold its chunks, and
+  /// the async worker returns them.
+  io::ChunkPool pool_;
   std::unique_ptr<AsyncLog> async_;
   Epoch epoch_ = 0;
-  /// Objects the previous capture visited; sizes the next one under
-  /// kAutoThreads. 0 before the first, which therefore runs serially.
+  /// Objects the previous capture visited; sizes the next incremental one
+  /// under kAutoThreads. 0 before the first, which therefore runs serially.
   std::uint64_t last_visited_ = 0;
+  /// Bytes of the newest full payload the manager knows: its own last full,
+  /// or the log's largest frame at open. Sizes the next full capture under
+  /// kAutoThreads; 0 on an empty log, whose first full therefore runs
+  /// serially.
+  std::uint64_t last_full_bytes_ = 0;
   Metrics metrics_;
   obs::CaptureProfile last_profile_;
 

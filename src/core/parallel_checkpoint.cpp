@@ -35,19 +35,32 @@ struct WorkItem {
 /// 0.08 ms at 5,200.
 constexpr std::uint64_t kObjectsPerCaptureThread = std::uint64_t{1} << 14;
 
+/// Full-payload bytes each capture thread must have to write before it pays
+/// for itself: a full capture runs every object's record(), so its cost
+/// follows its bytes. Full captures into a fresh chunk pool on a 4-vCPU VM
+/// (p50 of 31-41 runs): at 126 KB two threads took 0.21 ms against
+/// 0.24-0.28 ms serial, at 95 KB 0.18-0.20 against 0.16-0.22, at 63 KB
+/// 0.16 against 0.15; at 252 KB three or four took 0.28-0.33 ms against
+/// 0.40-0.54.
+constexpr std::uint64_t kBytesPerCaptureThread = std::uint64_t{1} << 16;
+
 /// Most threads the pick hands out: the widest count whose speed and memory
-/// have been measured (on a 4-vCPU VM). Each worker's malloc arena keeps
-/// segment memory resident, and 4 threads already raised synth-capture's
-/// peak RSS by 10 MB, so a wider pick waits for measurements from a wider
-/// machine. Pinned counts are not capped.
+/// have been measured (on a 4-vCPU VM). Pinned counts are not capped.
 constexpr unsigned kMaxPickedThreads = 4;
+
+/// `units` of work at `per_thread` per thread on `cpus` CPUs: at most
+/// min(`cpus`, kMaxPickedThreads) threads, and serial below two.
+unsigned pick_threads(std::uint64_t units, std::uint64_t per_thread,
+                      unsigned cpus) noexcept {
+  const std::uint64_t threads = std::min<std::uint64_t>(
+      std::min(cpus, kMaxPickedThreads), units / per_thread);
+  return threads < 2 ? 1 : static_cast<unsigned>(threads);
+}
 
 }  // namespace
 
 unsigned capture_threads_for(std::uint64_t objects, unsigned cpus) noexcept {
-  const std::uint64_t threads = std::min<std::uint64_t>(
-      std::min(cpus, kMaxPickedThreads), objects / kObjectsPerCaptureThread);
-  return threads < 2 ? 1 : static_cast<unsigned>(threads);
+  return pick_threads(objects, kObjectsPerCaptureThread, cpus);
 }
 
 unsigned capture_threads_for(std::uint64_t objects) noexcept {
@@ -57,7 +70,17 @@ unsigned capture_threads_for(std::uint64_t objects) noexcept {
   return capture_threads_for(objects, usable_cpus());
 }
 
-ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
+unsigned full_capture_threads_for(std::uint64_t payload_bytes,
+                                  unsigned cpus) noexcept {
+  return pick_threads(payload_bytes, kBytesPerCaptureThread, cpus);
+}
+
+unsigned full_capture_threads_for(std::uint64_t payload_bytes) noexcept {
+  if (payload_bytes < 2 * kBytesPerCaptureThread) return 1;
+  return full_capture_threads_for(payload_bytes, usable_cpus());
+}
+
+ParallelStats ParallelCheckpoint::run(io::ChunkSink& out, Epoch epoch,
                                       std::span<Checkpointable* const> roots,
                                       const ParallelOptions& opts) {
   const std::size_t nroots = roots.size();
@@ -70,7 +93,9 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
     copts.cycle_guard = opts.cycle_guard;
     copts.profile = opts.profile;
     ParallelStats p;
+    io::DataWriter d(out);
     p.totals = Checkpoint::run(d, epoch, roots, copts);
+    d.flush();
     return p;
   };
   if (opts.threads <= 1 || nroots == 0) return run_serial();
@@ -83,9 +108,7 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   // keep a thread busy.
   std::size_t walks = 0;
   if (nroots >= target) {
-    // Range mode: item 0 is a single root so the stream header (which the
-    // merge cursor emits just before item 0's bytes) is unblocked almost
-    // immediately; the rest of the roots split evenly.
+    // Range mode: the roots split evenly.
     for (const auto& [b, e] : root_ranges(nroots, target))
       items.push_back(WorkItem{WorkItem::kRootRange, b, e, nullptr, 0, 0});
     walks = items.size();
@@ -179,16 +202,12 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
                       " byte(s)");
   };
 
-  // ---- Stream through the sharded driver. ---------------------------------
+  // ---- Record the items, then splice them behind the header. -------------
   ShardRunOptions ropts;
   ropts.threads = threads;
-  ropts.backlog_budget =
-      opts.merge_backlog_bytes == ParallelOptions::kAutoBacklog
-          ? auto_backlog_budget(threads)
-          : opts.merge_backlog_bytes;
   ropts.item_hook = opts.test_item_hook;
-  const MergeRunResult rr = run_sharded_capture(
-      d,
+  const ShardRunResult rr = run_sharded_capture(
+      out,
       [&](io::DataWriter& w) {
         write_stream_header(w, opts.mode, epoch, roots, ref_id);
       },
@@ -198,18 +217,14 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   ParallelStats result;
   result.shards = nitems;
   result.threads_used = threads;
-  result.steals = rr.steals;
   result.merge_seconds = static_cast<double>(rr.merge_ns) / 1e9;
-  result.merge_buffered_peak_bytes = rr.buffered_peak_bytes;
   result.shard_stats = std::move(shard_stats);
 
   std::vector<std::uint64_t> worker_visited(threads, 0);
   for (std::size_t i = 0; i < nitems; ++i) {
     ShardStats& s = result.shard_stats[i];
-    const MergeItemResult& ir = rr.items[i];
-    s.streamed_direct = ir.direct;
+    const ShardItemResult& ir = rr.items[i];
     s.bytes = ir.bytes;
-    if (ir.direct) ++result.direct_items;
     result.totals.objects_visited += s.stats.objects_visited;
     result.totals.objects_recorded += s.stats.objects_recorded;
     worker_visited[ir.worker] += s.stats.objects_visited;
@@ -228,10 +243,6 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   // hot path (same budget recover() spends).
   obs::gauge("ickpt_capture_shards").set(static_cast<std::int64_t>(nitems));
   obs::gauge("ickpt_capture_threads").set(threads);
-  obs::gauge("ickpt_capture_merge_buffered_peak_bytes")
-      .set(static_cast<std::int64_t>(result.merge_buffered_peak_bytes));
-  if (result.steals > 0)
-    obs::counter("ickpt_capture_steals_total").inc(result.steals);
   obs::histogram("ickpt_capture_merge_seconds").observe(result.merge_seconds);
   // Skip the imbalance sample when nothing was visited (all-null roots):
   // max/mean is undefined there, and the bounds start at ratio 1.0.
@@ -242,9 +253,7 @@ ParallelStats ParallelCheckpoint::run(io::DataWriter& d, Epoch epoch,
   if (span.active())
     span.note(std::to_string(threads) + " worker(s) x " +
               std::to_string(nitems) + " item(s), " +
-              std::to_string(result.steals) + " steal(s), " +
-              std::to_string(result.direct_items) + " direct, peak backlog " +
-              std::to_string(result.merge_buffered_peak_bytes) + " byte(s), " +
+              std::to_string(out.chunks()) + " chunk(s), " +
               std::to_string(result.totals.objects_recorded) + "/" +
               std::to_string(result.totals.objects_visited) + " recorded");
   return result;

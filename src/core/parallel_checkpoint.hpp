@@ -4,19 +4,10 @@
 // latency scales with graph size regardless of cores. This component
 // partitions the capture into ordered work items, each recorded by its own
 // records-only walker, and hands them to the sharded driver
-// (core/segment_merge.hpp), which runs them on a work-stealing pool and
-// streams them into the caller's DataWriter through an ordered merge
-// frontier:
+// (core/segment_merge.hpp), which runs them on a pool of threads, records
+// each into its own chunk chain, and after the join splices the chains in
+// item order behind one stream header:
 //
-//  - An item at the merge frontier writes *directly* into the caller's
-//    writer — those bytes are never buffered. Items ahead of the frontier
-//    record into private segments that the frontier drains in order, so
-//    extra memory is bounded by out-of-order segments only (the high-water
-//    mark is tracked in ParallelStats, the profile, and a gauge).
-//  - The stream header is emitted by the merge cursor just before the
-//    first byte of item 0 — never earlier — so a worker throw before any
-//    segment streams leaves the caller's writer untouched (the serial path
-//    would already have written its header; see Failure semantics).
 //  - Work items are root ranges, kItemsPerThread of them per worker, except
 //    when the root set is too small to feed the pool (fewer roots than
 //    threads x kItemsPerThread): then a compound root is split into its
@@ -26,6 +17,8 @@
 //    (every item but a split root's own record). With fewer than two the
 //    capture is serial: a root whose heap hangs off one child, such as the
 //    head of a linked list, cannot be split at all.
+//  - Extra memory is what each item leaves unused in its last chunk: the
+//    capture maps at most payload + (items + 1) x ChunkPool::kChunkBytes.
 //
 // The emitted payload obeys the exact format of docs/FORMAT.md — item-order
 // concatenation reproduces the serial layout — and Recovery/fsck need no
@@ -49,12 +42,10 @@
 //    per-item CheckpointStats still sum to the serial totals.
 //
 // Failure semantics: a throw from record()/fold() propagates to the caller
-// after the pool drains. If nothing had streamed yet the caller's writer is
-// untouched (strictly cleaner than a serial throw, which leaves header +
-// record prefix); once streaming has begun a torn prefix is possible,
-// exactly as with the serial walker. Flags reset before the failure stay
-// reset, which is why CheckpointManager only appends fully merged payloads
-// to stable storage.
+// after the pool drains, and a sharded capture leaves the caller's sink
+// untouched (the serial driver has already written its header and a record
+// prefix by then). Flags reset before the failure stay reset, which is why
+// CheckpointManager only appends whole payloads to stable storage.
 //
 // VisitHooks are not threaded through: hooks observe a single traversal
 // order, which sharded capture deliberately does not have.
@@ -66,15 +57,11 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "io/data_writer.hpp"
+#include "io/byte_sink.hpp"
 
 namespace ickpt::core {
 
 struct ParallelOptions {
-  /// Backlog sentinel: pick the budget from the thread/core ratio (see
-  /// merge_backlog_bytes).
-  static constexpr std::size_t kAutoBacklog = SIZE_MAX;
-
   Mode mode = Mode::kIncremental;
   /// Per-shard visited epochs + cross-shard ClaimTable (see header comment).
   /// The claim table starts at nroots * 8 + 1024 slots; an underestimate
@@ -83,35 +70,26 @@ struct ParallelOptions {
   /// Worker pool size, at most the items that walk. <= 1 delegates to the
   /// serial Checkpoint::run — the paper-faithful path, byte-for-byte and
   /// cost-for-cost. A caller that knows the object count picks it with
-  /// capture_threads_for(), as CheckpointManager does under
+  /// capture_threads_for(), and one that knows a full payload's size with
+  /// full_capture_threads_for(), as CheckpointManager does under
   /// ManagerOptions::kAutoThreads.
   unsigned threads = 1;
-  /// Published-segment backlog (bytes) beyond which workers stop recording
-  /// ahead of the merge frontier and yield instead. kAutoBacklog resolves
-  /// to: unbounded when threads <= usable_cpus() (recording ahead is the
-  /// parallelism win), 0 when oversubscribed (buffering ahead of a frontier
-  /// that shares your CPU only grows memory). Explicit values pass
-  /// through; tests pin large budgets to force concurrent buffering.
-  std::size_t merge_backlog_bytes = kAutoBacklog;
   /// Stage-attribution accumulator. Null (the default) keeps every worker on
   /// the unprofiled hot loop. Non-null: each item walks with a private
   /// CaptureProfile (no cross-worker synchronization on the hot path), and
-  /// after the pool joins the item profiles, steal counters, sink bytes and
-  /// merge/wait time are folded into *profile. Written by the caller's
-  /// thread only outside the walk; must outlive run().
+  /// after the pool joins the item profiles and the join-wait and splice
+  /// time are folded into *profile. Written by the caller's thread only
+  /// outside the walk; must outlive run().
   obs::CaptureProfile* profile = nullptr;
   /// Test-only: fires on the executing worker after each work item is
-  /// published to (or committed through) the merge cursor, with the item
-  /// index. Used to force out-of-order completion deterministically.
+  /// recorded, with the item index. Used to force out-of-order completion
+  /// deterministically.
   std::function<void(std::size_t)> test_item_hook;
 };
 
 /// Capture accounting for one work item (a contiguous root range, a split
 /// root's record, or a split root's child range).
 struct ShardStats {
-  /// The item was at the merge frontier and streamed straight into the
-  /// caller's writer — its bytes were never buffered.
-  bool streamed_direct = false;
   CheckpointStats stats;
   std::size_t bytes = 0;
 };
@@ -121,38 +99,45 @@ struct ParallelStats {
   CheckpointStats totals;
   std::size_t shards = 1;
   unsigned threads_used = 1;
-  std::size_t steals = 0;
   /// max/mean objects visited per worker (1.0 = perfectly balanced).
   double imbalance = 1.0;
-  /// Wall time spent inside the merge cursor streaming segments.
+  /// Wall time after the join: the header, the splice of the item chains
+  /// and the end tag.
   double merge_seconds = 0.0;
-  /// High-water mark of bytes buffered behind the merge frontier — the
-  /// streaming merge's memory bound, observed.
-  std::size_t merge_buffered_peak_bytes = 0;
-  /// Items that streamed directly into the caller's writer.
-  std::size_t direct_items = 0;
   /// Per-item breakdown; empty when the serial path ran.
   std::vector<ShardStats> shard_stats;
 };
 
 /// Capture threads for a walk of `objects` objects on `cpus` CPUs: one per
 /// 2^14 objects, at most min(`cpus`, 4), and 1 (serial) below two. Four is
-/// the widest count whose speed and memory have been measured.
+/// the widest count whose speed and memory have been measured. An
+/// incremental capture's cost is its walk, so this sizes incremental takes.
 [[nodiscard]] unsigned capture_threads_for(std::uint64_t objects,
                                            unsigned cpus) noexcept;
 /// The same pick on usable_cpus() CPUs (core/segment_merge.hpp).
 [[nodiscard]] unsigned capture_threads_for(std::uint64_t objects) noexcept;
 
+/// Capture threads for a full capture expected to write `payload_bytes`:
+/// one per kBytesPerCaptureThread (parallel_checkpoint.cpp) under the same
+/// cap as capture_threads_for, and 1 (serial) below two. A full capture
+/// runs every object's record(), so its cost is its bytes.
+[[nodiscard]] unsigned full_capture_threads_for(std::uint64_t payload_bytes,
+                                                unsigned cpus) noexcept;
+/// The same pick on usable_cpus() CPUs.
+[[nodiscard]] unsigned full_capture_threads_for(
+    std::uint64_t payload_bytes) noexcept;
+
 class ParallelCheckpoint {
  public:
-  /// Work items per worker: the work-stealing granularity. More items
-  /// balance skewed root subtrees better at the cost of more (cheap)
-  /// frontier advances.
+  /// Work items per worker: the scheduling granularity. More items balance
+  /// skewed root subtrees better, at the cost of one partly filled chunk
+  /// each.
   static constexpr std::size_t kItemsPerThread = 4;
 
-  /// Write one checkpoint payload of `roots` at `epoch` into `d`:
-  /// header + sharded records (streamed in item order) + end tag.
-  static ParallelStats run(io::DataWriter& d, Epoch epoch,
+  /// Append one checkpoint payload of `roots` at `epoch` to `out`: header +
+  /// records in item order + end tag. Sharded items draw their chunks from
+  /// `out`'s pool.
+  static ParallelStats run(io::ChunkSink& out, Epoch epoch,
                            std::span<Checkpointable* const> roots,
                            const ParallelOptions& opts);
 };

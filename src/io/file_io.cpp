@@ -13,6 +13,8 @@
 
 #ifdef __unix__
 #include <fcntl.h>
+#include <limits.h>
+#include <sys/uio.h>
 #include <unistd.h>
 #endif
 
@@ -179,6 +181,49 @@ void FileSink::write(const std::uint8_t* data, std::size_t n) {
       }
     }
   }
+}
+
+void FileSink::write_ranges(
+    std::span<const std::span<const std::uint8_t>> ranges) {
+#ifdef __unix__
+  if (fault_ == nullptr) {
+    flush();  // buffered bytes go first
+    std::vector<iovec> iov;
+    iov.reserve(ranges.size());
+    for (const std::span<const std::uint8_t> r : ranges)
+      if (!r.empty())
+        iov.push_back({const_cast<std::uint8_t*>(r.data()), r.size()});
+    std::size_t at = 0;  // first iovec not yet fully written
+    unsigned attempts = 0;
+    while (at < iov.size()) {
+      const int count =
+          static_cast<int>(std::min<std::size_t>(iov.size() - at, IOV_MAX));
+      const ssize_t written = ::writev(::fileno(file_), &iov[at], count);
+      if (written <= 0) {
+        // Retry EINTR and no progress with backoff, as write_raw does.
+        if (written < 0 && errno != EINTR) fail("write", path_);
+        count_retry(EINTR);
+        if (++attempts > retry_.max_attempts)
+          throw IoError("write '" + path_ + "' failed after " +
+                        std::to_string(attempts) + " attempt(s): " +
+                        std::strerror(EINTR));
+        backoff(attempts - 1);
+        continue;
+      }
+      attempts = 0;
+      auto left = static_cast<std::size_t>(written);
+      offset_ += left;
+      obs_bytes_.inc(left);
+      while (at < iov.size() && left >= iov[at].iov_len) left -= iov[at++].iov_len;
+      if (left > 0) {
+        iov[at].iov_base = static_cast<std::uint8_t*>(iov[at].iov_base) + left;
+        iov[at].iov_len -= left;
+      }
+    }
+    return;
+  }
+#endif
+  for (const std::span<const std::uint8_t> r : ranges) write(r.data(), r.size());
 }
 
 void FileSink::flush() {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,15 @@ class FileSink final : public ByteSink {
 
   void write(const std::uint8_t* data, std::size_t n) override;
   void flush() override;
+
+  /// Write `ranges` in order. With no fault policy installed this is one
+  /// gather write (writev) after a flush, whatever the ranges' sizes: the
+  /// kernel sees one large write, and on Linux page-cache reads of a file
+  /// written in small pieces run up to twice as slow (a 16 MiB file
+  /// written 80 KiB at a time read back in 2.5 ms, 1 MiB at a time in
+  /// 1.3). With a policy, one write() per range, each consulting it. The
+  /// file receives the same bytes either way.
+  void write_ranges(std::span<const std::span<const std::uint8_t>> ranges);
 
   /// flush() + fsync: the frame is on stable storage when this returns.
   void durable_flush();

@@ -432,6 +432,8 @@ struct OpenProbe {
   /// Newest sequence number a salvage scan can read (frames come out in
   /// strictly increasing seq order); nullopt when there is none.
   std::optional<std::uint64_t> last_seq;
+  /// Payload bytes of the largest frame read.
+  std::size_t largest_payload = 0;
 };
 
 OpenProbe probe_for_open(const std::string& path) {
@@ -442,6 +444,7 @@ OpenProbe probe_for_open(const std::string& path) {
   std::size_t frames = 0;
   while (it.next_header(frame)) {
     probe.last_seq = frame.seq;
+    probe.largest_payload = std::max(probe.largest_payload, frame.payload_bytes);
     ++frames;
   }
   probe.clean = it.clean();
@@ -497,6 +500,7 @@ StableStorage::StableStorage(std::string path, StorageOptions opts)
     return probe.last_seq.has_value();
   };
   const OpenProbe live = probe_for_open(path_);
+  largest_payload_at_open_ = live.largest_payload;
   // Never append behind an unreadable tail: truncate it back to the last
   // salvageable frame first (the removed bytes go to <path>.bak, and every
   // frame the probe read stays). Mid-log corrupt regions with settled
@@ -547,26 +551,35 @@ void StableStorage::rebind_metrics() noexcept {
   if (impl_->sink != nullptr) impl_->sink->rebind_metrics();
 }
 
-std::uint64_t StableStorage::append(const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxPayload)
+std::uint64_t StableStorage::append(ByteRanges payload) {
+  const std::size_t size = payload.size();
+  if (size > kMaxPayload)
     throw IoError("checkpoint payload exceeds 1 GiB frame limit");
   std::vector<std::uint8_t> header;
   header.reserve(kHeaderSize);
   put_u32(header, kMagic);
   const std::uint64_t seq = next_seq_;
   put_u64(header, seq);
-  put_u32(header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(header, static_cast<std::uint32_t>(size));
   // The CRC covers seq, length, and payload, so a corrupted header field is
   // caught just like corrupted payload bytes.
   Crc32 crc;
   crc.update(header.data() + 4, 12);
-  crc.update(payload.data(), payload.size());
+  for (const std::span<const std::uint8_t> r : payload.ranges())
+    crc.update(r.data(), r.size());
   put_u32(header, crc.value());
   const std::uint64_t frame_start = impl_->sink->offset();
   obs::Span span("storage.append", "io");
+  // The header, then the payload's ranges in order: one gather write, or
+  // with a fault policy one write per range, where a fault lands at the
+  // same file offset, and leaves the same bytes, as inside one contiguous
+  // write.
+  std::vector<std::span<const std::uint8_t>> frame;
+  frame.reserve(1 + payload.ranges().size());
+  frame.emplace_back(header);
+  frame.insert(frame.end(), payload.ranges().begin(), payload.ranges().end());
   try {
-    impl_->sink->write(header.data(), header.size());
-    impl_->sink->write(payload.data(), payload.size());
+    impl_->sink->write_ranges(frame);
     if (opts_.durable)
       impl_->sink->durable_flush();
     else
@@ -588,8 +601,9 @@ std::uint64_t StableStorage::append(const std::vector<std::uint8_t>& payload) {
   }
   impl_->obs_appends.inc();
   if (span.active())
-    span.note("seq " + std::to_string(seq) + ", " +
-              std::to_string(payload.size()) + " payload byte(s)");
+    span.note("seq " + std::to_string(seq) + ", " + std::to_string(size) +
+              " payload byte(s) in " +
+              std::to_string(payload.ranges().size()) + " range(s)");
   return next_seq_++;
 }
 

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "io/byte_sink.hpp"
 #include "io/fault.hpp"
 
 namespace ickpt::obs {
@@ -184,11 +185,14 @@ class StableStorage {
   StableStorage& operator=(const StableStorage&) = delete;
   ~StableStorage();
 
-  /// Append one checkpoint payload; returns its sequence number. On a
-  /// write failure the partial frame is rolled back (truncated away) and
-  /// the error rethrown; the log remains valid. A CrashFault is never
-  /// rolled back.
-  std::uint64_t append(const std::vector<std::uint8_t>& payload);
+  /// Append one checkpoint payload, given as ordered byte ranges (a
+  /// ChunkSink's chunks, or one vector); returns its sequence number. The
+  /// frame is the one a contiguous payload of the same bytes makes: the
+  /// CRC runs over the ranges in order, and the header is written first,
+  /// then each range. On a write failure the partial frame is rolled back
+  /// (truncated away) and the error rethrown; the log remains valid. A
+  /// CrashFault is never rolled back.
+  std::uint64_t append(ByteRanges payload);
 
   /// Delete all frames (restart the log). Sequence numbering continues.
   void reset();
@@ -222,6 +226,14 @@ class StableStorage {
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
+
+  /// Payload bytes of the largest frame the open probe read on the live
+  /// log (0 for an empty one). A log's largest frame is normally its
+  /// newest full checkpoint, so CheckpointManager sizes a reopened log's
+  /// first full take from it.
+  [[nodiscard]] std::size_t largest_payload_at_open() const noexcept {
+    return largest_payload_at_open_;
+  }
 
   /// Raise the next sequence number (forward-only; a smaller value is
   /// ignored — sequence numbers never move backwards). The policy
@@ -265,6 +277,7 @@ class StableStorage {
   std::string path_;
   StorageOptions opts_;
   std::uint64_t next_seq_ = 0;
+  std::size_t largest_payload_at_open_ = 0;
   obs::CaptureProfile* prof_ = nullptr;
   obs::FlightRecorder* flightrec_ = nullptr;
   struct Impl;

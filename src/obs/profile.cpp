@@ -16,14 +16,6 @@ void CaptureProfile::add(const CaptureProfile& o) noexcept {
   claim_attempts += o.claim_attempts;
   claims_lost += o.claims_lost;
   claim_cas_retries += o.claim_cas_retries;
-  steal_attempts += o.steal_attempts;
-  steal_failures += o.steal_failures;
-  shard_sink_bytes += o.shard_sink_bytes;
-  direct_stream_bytes += o.direct_stream_bytes;
-  // High-water, not a sum: merging two captures' peaks reports the worst
-  // single moment, which is what the memory bound claims.
-  if (o.merge_buffered_peak_bytes > merge_buffered_peak_bytes)
-    merge_buffered_peak_bytes = o.merge_buffered_peak_bytes;
   plan_tests += o.plan_tests;
   objects += o.objects;
   records += o.records;
@@ -111,13 +103,7 @@ std::string CaptureProfile::render() const {
   out += "  contention: " + std::to_string(claim_attempts) + " claim(s), " +
          std::to_string(claims_lost) + " lost, " +
          std::to_string(claim_cas_retries) + " cas retr(ies); " +
-         std::to_string(steal_attempts) + " steal attempt(s), " +
-         std::to_string(steal_failures) + " empty; " +
          std::to_string(visited_probes) + " visited probe(s)\n";
-  out += "  merge: " + std::to_string(shard_sink_bytes) +
-         " buffered byte(s), " + std::to_string(direct_stream_bytes) +
-         " direct byte(s), peak backlog " +
-         std::to_string(merge_buffered_peak_bytes) + " byte(s)\n";
   return out;
 }
 
@@ -132,12 +118,6 @@ std::string CaptureProfile::to_json() const {
   append_kv_u64(out, "claim_attempts", claim_attempts, first);
   append_kv_u64(out, "claims_lost", claims_lost, first);
   append_kv_u64(out, "claim_cas_retries", claim_cas_retries, first);
-  append_kv_u64(out, "steal_attempts", steal_attempts, first);
-  append_kv_u64(out, "steal_failures", steal_failures, first);
-  append_kv_u64(out, "shard_sink_bytes", shard_sink_bytes, first);
-  append_kv_u64(out, "direct_stream_bytes", direct_stream_bytes, first);
-  append_kv_u64(out, "merge_buffered_peak_bytes", merge_buffered_peak_bytes,
-                first);
   append_kv_u64(out, "plan_tests", plan_tests, first);
   append_kv_u64(out, "objects", objects, first);
   append_kv_u64(out, "records", records, first);

@@ -5,9 +5,8 @@
 // serial with nobody able to say where the time went. This accumulator
 // attributes capture wall/CPU time to stages (root walk, dirty test,
 // serialize, claim-table arbitration, merge, write, fsync) and counts the
-// contention events the parallel path pays for (claim-stripe lock misses,
-// lost claims, steal attempts/failures, visited-set probes, shard-private
-// sink bytes).
+// contention events the parallel path pays for (claim CAS retries, lost
+// claims, visited-set probes).
 //
 // Threading model: a CaptureProfile is a plain, non-atomic struct. Exactly
 // one thread writes a given instance at a time — the serial walker writes
@@ -43,8 +42,8 @@ struct CaptureProfile {
     kDirtyTest,      ///< modified-flag tests
     kSerialize,      ///< record() field writes (and whole plan runs)
     kClaim,          ///< visited-set insert + cross-shard claim arbitration
-    kMerge,          ///< in-order streaming of completed segments into the
-                     ///< caller's writer (lock hold time inside the cursor)
+    kMerge,          ///< after the join: the stream header, the splice of
+                     ///< the items' chunk chains, the end tag
     kMergeWait,      ///< coordinator wall waiting for the last workers to
                      ///< finish after its own work ran dry
     kWrite,          ///< stable-storage append minus its fsync
@@ -62,18 +61,6 @@ struct CaptureProfile {
                                         ///< (a real cross-shard collision on
                                         ///< one slot); replaces the striped
                                         ///< table's lock-wait counter
-  std::uint64_t steal_attempts = 0;   ///< cursor bumps on other workers
-  std::uint64_t steal_failures = 0;   ///< steal attempts that found the
-                                      ///< victim's block exhausted
-  std::uint64_t shard_sink_bytes = 0; ///< bytes buffered in shard-private
-                                      ///< sinks before streaming out
-  std::uint64_t direct_stream_bytes = 0;  ///< bytes a frontier worker wrote
-                                          ///< straight into the caller's
-                                          ///< writer, never buffered
-  std::uint64_t merge_buffered_peak_bytes = 0;  ///< high-water of bytes
-                                                ///< buffered behind the merge
-                                                ///< frontier (out-of-order
-                                                ///< volume); add() takes max
   std::uint64_t plan_tests = 0;       ///< flag tests performed by plan runs
   std::uint64_t objects = 0;          ///< objects visited under profiling
   std::uint64_t records = 0;          ///< objects recorded under profiling

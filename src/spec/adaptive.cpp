@@ -137,22 +137,19 @@ AdaptiveCheckpointer::Result AdaptiveCheckpointer::checkpoint(
     // checkpoint in the caller's stream. Writing through to the caller
     // directly would be faster but unsafe — a mid-run SpecError after N
     // records would leave an unterminated stream the reader cannot
-    // distinguish from truncation. clear() keeps the capacity from the
-    // previous epoch, so steady state allocates nothing.
+    // distinguish from truncation. clear() returns the chunks to the
+    // scratch pool, so steady state maps nothing.
     scratch_.clear();
     bool ok = true;
-    {
-      io::DataWriter scratch_writer(scratch_);
-      try {
-        run_plan_checkpoint_parallel(scratch_writer, epoch, roots.concretes,
-                                     *executor_, opts_.capture_threads);
-        scratch_writer.flush();
-      } catch (const SpecError&) {
-        ok = false;
-      }
+    try {
+      run_plan_checkpoint_parallel(scratch_, epoch, roots.concretes,
+                                   *executor_, opts_.capture_threads);
+    } catch (const SpecError&) {
+      ok = false;
     }
     if (ok) {
-      d.write_bytes(scratch_.bytes().data(), scratch_.size());
+      for (const std::span<const std::uint8_t> r : scratch_.ranges())
+        d.write_bytes(r.data(), r.size());
       result.stage_used = stage_;
       result.bytes = d.bytes_written() - before;
       return result;

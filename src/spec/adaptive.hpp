@@ -46,8 +46,8 @@ class AdaptiveCheckpointer {
     InferOptions infer;
     CompileOptions compile;
     /// Worker threads for specialized capture: the compiled plan executes
-    /// per-shard (run_plan_checkpoint_parallel) with segments merged in
-    /// shard order, so the staged stream stays byte-identical to the
+    /// per-shard (run_plan_checkpoint_parallel) with the shards' chunks
+    /// spliced in shard order, so the staged stream stays byte-identical to the
     /// serial plan run. 1 = serial. Observation/generic epochs always run
     /// serially (the inferencer is not concurrent).
     unsigned capture_threads = 1;
@@ -149,9 +149,10 @@ class AdaptiveCheckpointer {
   obs::Counter obs_reobserve_epochs_;
   Plan plan_;
   std::unique_ptr<PlanExecutor> executor_;
-  /// Reused staging buffer for specialized runs: clear() keeps capacity, so
-  /// steady-state specialized epochs allocate nothing.
-  io::VectorSink scratch_;
+  /// Reused staging buffer for specialized runs: cleared chunks stay in the
+  /// pool, so steady-state specialized epochs map nothing.
+  io::ChunkPool scratch_pool_;
+  io::ChunkSink scratch_{scratch_pool_};
 };
 
 }  // namespace ickpt::spec

@@ -242,7 +242,7 @@ void run_plan_checkpoint(io::DataWriter& d, Epoch epoch,
   if (profile != nullptr) profile->epochs += 1;
 }
 
-void run_plan_checkpoint_parallel(io::DataWriter& d, Epoch epoch,
+void run_plan_checkpoint_parallel(io::ChunkSink& out, Epoch epoch,
                                   std::span<void* const> roots,
                                   const PlanExecutor& exec, unsigned threads,
                                   core::Mode mode,
@@ -251,7 +251,9 @@ void run_plan_checkpoint_parallel(io::DataWriter& d, Epoch epoch,
   if (static_cast<std::size_t>(threads) > nroots)
     threads = static_cast<unsigned>(nroots == 0 ? 1 : nroots);
   if (threads <= 1) {
+    io::DataWriter d(out);
     run_plan_checkpoint(d, epoch, roots, exec, mode, profile);
+    d.flush();
     return;
   }
 
@@ -263,9 +265,8 @@ void run_plan_checkpoint_parallel(io::DataWriter& d, Epoch epoch,
       nroots, threads * core::ParallelCheckpoint::kItemsPerThread);
   core::ShardRunOptions ropts;
   ropts.threads = threads;
-  ropts.backlog_budget = core::auto_backlog_budget(threads);
   core::run_sharded_capture(
-      d,
+      out,
       [&](io::DataWriter& w) {
         core::write_stream_header(w, mode, epoch, roots, root_id(exec.plan()));
       },

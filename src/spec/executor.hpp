@@ -67,16 +67,16 @@ void run_plan_checkpoint(io::DataWriter& d, Epoch epoch,
                          obs::CaptureProfile* profile = nullptr);
 
 /// Sharded variant: partition the roots into contiguous ranges
-/// (core::root_ranges) and run the plan over them on `threads` workers
-/// through core's sharded driver (core/segment_merge.hpp), which streams
-/// the ranges in order behind one stream header. Plans describe trees
-/// (no cross-root sharing), so the output is byte-identical to
-/// run_plan_checkpoint for every thread count — property-tested alongside
-/// the generic parallel driver. A SpecError raised by any shard (structure
-/// violating the pattern) is rethrown after the pool drains; as in the
-/// serial case the caller must then discard the stream and fall back.
-/// threads <= 1 is exactly run_plan_checkpoint.
-void run_plan_checkpoint_parallel(io::DataWriter& d, Epoch epoch,
+/// (core::root_ranges), run the plan over them on `threads` workers through
+/// core's sharded driver (core/segment_merge.hpp), and append one stream to
+/// `out`: the ranges' chunk chains spliced in order behind one stream
+/// header. Plans describe trees (no cross-root sharing), so the output is
+/// byte-identical to run_plan_checkpoint for every thread count —
+/// property-tested alongside the generic parallel driver. A SpecError
+/// raised by any shard (structure violating the pattern) is rethrown after
+/// the pool drains with `out` untouched; the caller falls back. threads <= 1
+/// is exactly run_plan_checkpoint, through a DataWriter over `out`.
+void run_plan_checkpoint_parallel(io::ChunkSink& out, Epoch epoch,
                                   std::span<void* const> roots,
                                   const PlanExecutor& exec, unsigned threads,
                                   core::Mode mode = core::Mode::kIncremental,

@@ -1,7 +1,8 @@
 // The committed benchmark records (BENCH_parallel.json and
 // BENCH_profile.json at the repository root) must hold the harness's own
 // invariant: every row's p50 and p95 are exact order statistics of its
-// reps, so best <= p50 <= p95, and p95 <= max where the row has a max.
+// reps, so best <= p50 <= p95 <= max, and its MAD is the median of the
+// reps' distances from p50, so 0 <= mad <= max - best, over n >= 1 reps.
 // A record written by an older harness, or edited by hand, fails here.
 #include <gtest/gtest.h>
 
@@ -31,9 +32,15 @@ void expect_ordered_rows(const std::string& name) {
     const double best = row->at("best_s").num();
     const double p50 = row->at("p50_s").num();
     const double p95 = row->at("p95_s").num();
+    const double max = row->at("max_s").num();
+    const double mad = row->at("mad_s").num();
     EXPECT_LE(best, p50) << where;
     EXPECT_LE(p50, p95) << where;
-    if (row->has("max_s")) EXPECT_LE(p95, row->at("max_s").num()) << where;
+    EXPECT_LE(p95, max) << where;
+    EXPECT_GE(mad, 0.0) << where;
+    // The record prints 9 significant digits; allow for that rounding.
+    EXPECT_LE(mad, (max - best) * (1 + 1e-8)) << where;
+    EXPECT_GE(row->at("n").num(), 1.0) << where;
   }
 }
 

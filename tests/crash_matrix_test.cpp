@@ -9,16 +9,23 @@
 // crash anywhere inside compaction loses at most the compaction itself.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/async_log.hpp"
 #include "core/manager.hpp"
 #include "core/retention.hpp"
+#include "io/byte_sink.hpp"
 #include "io/fault.hpp"
 #include "io/file_io.hpp"
 #include "io/stable_storage.hpp"
+#include "synth/structures.hpp"
+#include "synth/workload.hpp"
 #include "tests/test_types.hpp"
 #include "verify/fsck.hpp"
 
@@ -34,6 +41,55 @@ using io::StableStorage;
 
 constexpr int kTakes = 8;
 constexpr unsigned kFullInterval = 3;  // fulls at epochs 0, 3, 6
+constexpr std::uint64_t kChunk = io::ChunkPool::kChunkBytes;
+constexpr std::uint64_t kFrameHeader = 20;
+
+/// `bytes` in chunks from `pool`.
+io::ChunkSink chunks_of(io::ChunkPool& pool,
+                        const std::vector<std::uint8_t>& bytes) {
+  io::ChunkSink sink(pool);
+  sink.write(bytes.data(), bytes.size());
+  return sink;
+}
+
+/// Fault offsets around the chunk boundaries of a payload starting at
+/// file offset `payload_at` and `size` bytes long: its frame header, its
+/// first byte, one before, on and after every chunk boundary, its last.
+std::vector<std::uint64_t> offsets_around_chunks(std::uint64_t payload_at,
+                                                 std::uint64_t size) {
+  std::vector<std::uint64_t> out{payload_at - kFrameHeader,
+                                 payload_at - kFrameHeader + 7, payload_at - 1,
+                                 payload_at, payload_at + 1};
+  for (std::uint64_t b = kChunk; b < size; b += kChunk)
+    out.insert(out.end(), {payload_at + b - 1, payload_at + b,
+                           payload_at + b + 1});
+  out.push_back(payload_at + size - 1);
+  return out;
+}
+
+/// One fault to script: its kind, and for transients the errno and count.
+struct FaultCase {
+  const char* name;
+  FaultKind kind;
+  int transient_errno = EINTR;
+  unsigned transient_count = 1;
+};
+
+const FaultCase kFaultCases[] = {
+    {"torn", FaultKind::kTornWrite},
+    {"short", FaultKind::kShortWrite},
+    {"bitflip", FaultKind::kBitFlip},
+    {"eintr-retried", FaultKind::kTransient, EINTR, 3},
+    {"enospc-retried", FaultKind::kTransient, ENOSPC, 3},
+    {"enospc-exhausted", FaultKind::kTransient, ENOSPC, 20},
+    {"crash", FaultKind::kCrash},
+};
+
+/// What one faulted run left: how it ended, and the file.
+struct Outcome {
+  std::string ended;  ///< "ok", "io-error" or "crash"
+  std::vector<std::uint8_t> file;
+};
 
 class CrashMatrixTest : public ::testing::Test {
  protected:
@@ -466,6 +522,201 @@ TEST_F(CrashMatrixTest, CrashAtEveryOffsetDuringPolicyCompact) {
   }
   auto report = verify::fsck_log(path_, registry_);
   EXPECT_TRUE(report.clean()) << report.to_string();
+}
+
+// A frame whose payload spans several chunks reaches the file as one write
+// per chunk. Every fault, at offsets before, on and after each chunk
+// boundary, must leave exactly the file a contiguous append of the same
+// bytes leaves: the same rollback to the frame boundary, the same torn
+// tail, the same repaired file on the next open.
+TEST_F(CrashMatrixTest, FaultsAcrossChunkBoundariesMatchAContiguousAppend) {
+  std::vector<std::uint8_t> small(100);
+  std::vector<std::uint8_t> big(2 * kChunk + kChunk / 2);
+  for (std::size_t i = 0; i < small.size(); ++i)
+    small[i] = static_cast<std::uint8_t>(i * 7);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::uint8_t>(i * 13 + (i >> 20));
+  io::ChunkPool pool;
+  ASSERT_GE(chunks_of(pool, big).chunks(), 3u);
+  const std::uint64_t payload_at = 2 * kFrameHeader + small.size();
+
+  // One faulted run: a small frame, then `big` as chunks or as one vector.
+  auto run = [&](bool gather, const FaultCase& fc, std::uint64_t offset) {
+    clean_files();
+    ScriptedFaultPolicy policy(fc.kind, offset, fc.transient_errno,
+                               fc.transient_count);
+    Outcome out{"ok", {}};
+    {
+      StableStorage storage(
+          path_, io::StorageOptions{
+                     .fault = &policy,
+                     .retry = io::RetryPolicy{
+                         .initial_backoff = std::chrono::microseconds{0}}});
+      storage.append(small);
+      const io::ChunkSink chunks = chunks_of(pool, big);
+      try {
+        if (gather)
+          storage.append(chunks.ranges());
+        else
+          storage.append(big);
+      } catch (const io::CrashFault&) {
+        out.ended = "crash";
+      } catch (const IoError&) {
+        out.ended = "io-error";
+      }
+    }
+    out.file = io::read_file(path_);
+    return out;
+  };
+
+  int cases = 0;
+  for (const FaultCase& fc : kFaultCases) {
+    for (const std::uint64_t offset :
+         offsets_around_chunks(payload_at, big.size())) {
+      const std::string context =
+          std::string(fc.name) + " at offset " + std::to_string(offset);
+      const Outcome contiguous = run(false, fc, offset);
+      const Outcome gathered = run(true, fc, offset);
+      EXPECT_EQ(gathered.ended, contiguous.ended) << context;
+      EXPECT_TRUE(gathered.file == contiguous.file) << context;
+      // Only the faults that fail the append leave less than the frame;
+      // a rolled-back one leaves exactly the small frame.
+      if (contiguous.ended == "io-error") {
+        EXPECT_EQ(contiguous.file.size(), payload_at - kFrameHeader)
+            << context;
+      }
+      // The next open repairs a torn tail the same way for both.
+      { StableStorage reopened(path_); }
+      const std::vector<std::uint8_t> repaired = io::read_file(path_);
+      io::write_file(path_, contiguous.file);
+      std::remove((path_ + ".bak").c_str());
+      { StableStorage reopened(path_); }
+      EXPECT_TRUE(io::read_file(path_) == repaired) << context;
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 0);
+}
+
+// The compaction variant: a rewrite whose payload spans several chunks,
+// faulted at offsets before, on and after each chunk boundary of the
+// replacement log. The replacement holds exactly what a contiguous append
+// of the rewrite's bytes would: a crash leaves the prefix up to the fault
+// and the original log untouched, a torn write rolls the replacement back
+// and leaves the original log untouched, and a fault the sink absorbs
+// publishes the same log a clean compaction does.
+TEST_F(CrashMatrixTest, FaultsAcrossChunkBoundariesDuringCompact) {
+  TypeRegistry registry;
+  synth::register_types(registry);
+  {
+    core::Heap heap;
+    synth::SynthConfig config;
+    config.num_structures = 2000;  // a 2.6 MB full frame
+    synth::SynthWorkload workload(heap, config);
+    ManagerOptions opts;
+    opts.full_interval = kFullInterval;
+    CheckpointManager manager(path_, opts);
+    for (int i = 0; i < 4; ++i) {
+      if (i > 0) workload.mutate();
+      manager.take(workload.root_bases());
+    }
+  }
+  const std::vector<std::uint8_t> pristine = io::read_file(path_);
+  CheckpointManager::compact(path_, registry);
+  const std::vector<std::uint8_t> compacted = io::read_file(path_);
+  const std::uint64_t payload_size = compacted.size() - kFrameHeader;
+  ASSERT_GT(payload_size, 2 * kChunk) << "the rewrite spans 3 chunks";
+  const std::string tmp = path_ + ".compact";
+
+  int cases = 0;
+  for (const FaultCase& fc : kFaultCases) {
+    for (const std::uint64_t offset :
+         offsets_around_chunks(kFrameHeader, payload_size)) {
+      const std::string context =
+          std::string(fc.name) + " at offset " + std::to_string(offset);
+      io::write_file(path_, pristine);
+      std::remove(tmp.c_str());
+      ScriptedFaultPolicy policy(fc.kind, offset, fc.transient_errno,
+                                 fc.transient_count);
+      std::string ended = "ok";
+      try {
+        CheckpointManager::compact(path_, registry,
+                                   core::CompactOptions{.fault = &policy});
+      } catch (const io::CrashFault&) {
+        ended = "crash";
+      } catch (const IoError&) {
+        ended = "io-error";
+      }
+      ++cases;
+      if (ended == "ok") {
+        // The sink absorbed the fault (short write, retried transient) or
+        // it flipped one bit of the published frame.
+        std::vector<std::uint8_t> expected = compacted;
+        if (fc.kind == FaultKind::kBitFlip) expected[offset] ^= 0x01;
+        EXPECT_TRUE(io::read_file(path_) == expected) << context;
+        continue;
+      }
+      EXPECT_TRUE(io::read_file(path_) == pristine) << context;
+      const std::vector<std::uint8_t> left = io::read_file(tmp);
+      if (ended == "crash") {
+        // Torn bytes stay: exactly the rewrite's first `offset` bytes.
+        const std::vector<std::uint8_t> prefix(
+            compacted.begin(),
+            compacted.begin() + static_cast<std::ptrdiff_t>(offset));
+        EXPECT_TRUE(left == prefix) << context;
+      } else {
+        EXPECT_TRUE(left.empty()) << context << ": rolled back";
+        EXPECT_NE(fc.kind, FaultKind::kShortWrite) << context;
+      }
+    }
+  }
+  EXPECT_GT(cases, 0);
+  std::remove(tmp.c_str());
+}
+
+/// Blocks the first write until released, then tears it: holds an async
+/// append in flight while the test queues more payloads behind it.
+class GatedTornWrite final : public io::FaultPolicy {
+ public:
+  io::FaultDecision on_write(std::uint64_t, std::size_t) override {
+    if (fired_) return {};
+    fired_ = true;
+    entered.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    return {FaultKind::kTornWrite, 3};
+  }
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+
+ private:
+  bool fired_ = false;  // the async worker is the only caller
+};
+
+// An AsyncLog poisoned while multi-chunk payloads wait behind the failing
+// one drops them and counts them, as for any payload, and every chunk of
+// the failed and the dropped payloads goes back to the pool.
+TEST_F(CrashMatrixTest, PoisonedAsyncLogReturnsEveryChunk) {
+  GatedTornWrite fault;
+  io::ChunkPool pool;
+  const std::vector<std::uint8_t> bytes(2 * kChunk + 1, 0x5A);
+  {
+    StableStorage storage(path_, io::StorageOptions{.fault = &fault});
+    core::AsyncLog log(storage);
+    log.submit(chunks_of(pool, bytes));
+    while (!fault.entered.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    log.submit(chunks_of(pool, bytes));
+    log.submit(chunks_of(pool, bytes));
+    EXPECT_EQ(pool.mapped_bytes(), 9 * kChunk) << "3 payloads x 3 chunks";
+    fault.release.store(true, std::memory_order_release);
+    EXPECT_THROW(log.drain(), IoError);
+    EXPECT_TRUE(log.poisoned());
+    EXPECT_EQ(log.dropped(), 2u);
+    EXPECT_EQ(pool.kept_chunks(), 9u) << "every chunk is back in the pool";
+    EXPECT_EQ(pool.mapped_bytes(), 9 * kChunk);
+  }
+  EXPECT_TRUE(StableStorage::scan(path_).frames.empty());
 }
 
 }  // namespace

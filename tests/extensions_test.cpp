@@ -217,15 +217,25 @@ TEST(Adaptive, MismatchedRootSpansRejected) {
 
 // --- async log -------------------------------------------------------------------
 
+/// One payload of `n` bytes of `fill` in chunks from `pool`.
+io::ChunkSink chunk_payload(io::ChunkPool& pool, std::size_t n,
+                            std::uint8_t fill) {
+  io::ChunkSink sink(pool);
+  const std::vector<std::uint8_t> bytes(n, fill);
+  sink.write(bytes.data(), bytes.size());
+  return sink;
+}
+
 TEST(AsyncLog, AppendsInSubmissionOrder) {
   std::string path = ::testing::TempDir() + "/ickpt_async.log";
   std::remove(path.c_str());
   {
     io::StableStorage storage(path);
+    io::ChunkPool pool;
     core::AsyncLog log(storage);
     for (int i = 0; i < 50; ++i)
-      log.submit(std::vector<std::uint8_t>(static_cast<std::size_t>(i + 1),
-                                           static_cast<std::uint8_t>(i)));
+      log.submit(chunk_payload(pool, static_cast<std::size_t>(i + 1),
+                               static_cast<std::uint8_t>(i)));
     log.drain();
     EXPECT_EQ(log.pending(), 0u);
   }
@@ -245,9 +255,9 @@ TEST(AsyncLog, DestructorDrains) {
   std::remove(path.c_str());
   {
     io::StableStorage storage(path);
+    io::ChunkPool pool;
     core::AsyncLog log(storage);
-    for (int i = 0; i < 10; ++i)
-      log.submit(std::vector<std::uint8_t>(8, 0x11));
+    for (int i = 0; i < 10; ++i) log.submit(chunk_payload(pool, 8, 0x11));
   }  // no explicit drain
   auto scan = io::StableStorage::scan(path);
   EXPECT_EQ(scan.frames.size(), 10u);

@@ -47,14 +47,11 @@ constexpr unsigned kMaxThreads = 8;
 std::vector<std::uint8_t> parallel_bytes(
     std::span<core::Checkpointable* const> roots, Epoch epoch,
     const ParallelOptions& popts, ParallelStats* out = nullptr) {
-  io::VectorSink sink;
-  {
-    io::DataWriter writer(sink);
-    ParallelStats stats = ParallelCheckpoint::run(writer, epoch, roots, popts);
-    writer.flush();
-    if (out != nullptr) *out = stats;
-  }
-  return sink.take();
+  io::ChunkPool pool;
+  io::ChunkSink sink(pool);
+  ParallelStats stats = ParallelCheckpoint::run(sink, epoch, roots, popts);
+  if (out != nullptr) *out = stats;
+  return sink.to_vector();
 }
 
 std::vector<std::uint8_t> serial_bytes(
@@ -311,16 +308,13 @@ TEST(ParallelEquivalence, PlanExecutorShardedIsByteIdentical) {
   workload.restore_flags(flags);
   auto serial = plan_bytes(workload, exec, 3);
 
+  io::ChunkPool pool;
   for (unsigned threads = 1; threads <= kMaxThreads; ++threads) {
     workload.restore_flags(flags);
-    io::VectorSink sink;
-    {
-      io::DataWriter writer(sink);
-      spec::run_plan_checkpoint_parallel(writer, 3, workload.root_ptrs(),
-                                         exec, threads);
-      writer.flush();
-    }
-    EXPECT_EQ(sink.bytes(), serial) << "threads " << threads;
+    io::ChunkSink sink(pool);
+    spec::run_plan_checkpoint_parallel(sink, 3, workload.root_ptrs(), exec,
+                                       threads);
+    EXPECT_EQ(sink.to_vector(), serial) << "threads " << threads;
   }
 }
 
@@ -480,10 +474,11 @@ synth::SynthConfig auto_pick_heap() {
   return config;
 }
 
-/// The default manager (ManagerOptions::kAutoThreads) sizes each take from
-/// the previous one, so past its first take it shards this heap. Its log
+/// The default manager (ManagerOptions::kAutoThreads) sizes each take on
+/// its own, so past its first take it shards this heap, and a reopened
+/// manager's first full take shards from the log's largest frame. Its log
 /// must be byte-identical to a manager pinned to the serial driver, fed the
-/// same dirty state epoch by epoch.
+/// same dirty state epoch by epoch, across a close and reopen of both.
 TEST(ParallelEquivalence, AutoThreadsManagerLogMatchesSerialManager) {
   const ScratchLogs logs({"ickpt_parallel_equiv_auto.log",
                           "ickpt_parallel_equiv_serial.log"});
@@ -491,12 +486,16 @@ TEST(ParallelEquivalence, AutoThreadsManagerLogMatchesSerialManager) {
   synth::SynthWorkload workload(heap, auto_pick_heap());
   ASSERT_GE(workload.total_objects(), 36000u);
 
-  core::ManagerOptions serial_opts;
+  // Epochs 0 and 3 are full; the reopen lands right before epoch 3.
+  core::ManagerOptions auto_opts;
+  auto_opts.full_interval = 3;
+  core::ManagerOptions serial_opts = auto_opts;
   serial_opts.capture_threads = 1;
-  {
-    core::CheckpointManager auto_manager(logs.paths[0]);
+  int epoch = 0;
+  for (const int stop : {3, 6}) {
+    core::CheckpointManager auto_manager(logs.paths[0], auto_opts);
     core::CheckpointManager serial_manager(logs.paths[1], serial_opts);
-    for (int epoch = 0; epoch < 6; ++epoch) {
+    for (; epoch < stop; ++epoch) {
       if (epoch > 0) workload.mutate();
       const std::vector<bool> flags = workload.save_flags();
       const core::TakeResult a = auto_manager.take(workload.root_bases());
@@ -596,10 +595,54 @@ struct ScopedObs {
   ScopedObs& operator=(const ScopedObs&) = delete;
 };
 
-/// A manager's first take has no object count to size from and runs
-/// serially; the next one shards on capture_threads_for(what the first
+/// Compaction rewrites each kept state as a full frame, sharded with the
+/// full-take pick from the size of the frame it recovered the state from.
+/// The frame it writes must carry the payload the serial walker writes for
+/// the same recovered state.
+TEST(ParallelEquivalence, CompactionRewriteMatchesSerialCapture) {
+  const ScratchLogs logs({"ickpt_parallel_equiv_compact.log"});
+  ScopedObs obs_scope;
+  core::Heap heap;
+  synth::SynthWorkload workload(heap, auto_pick_heap());
+  ASSERT_GE(workload.total_objects(), 36000u);
+  {
+    core::CheckpointManager manager(logs.paths[0]);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      if (epoch > 0) workload.mutate();
+      (void)manager.take(workload.root_bases());
+    }
+  }
+  core::TypeRegistry registry;
+  synth::register_types(registry);
+  // The state compaction will keep, recovered once more on the side and
+  // captured by the serial walker.
+  core::RecoverResult recovered =
+      core::CheckpointManager::recover(logs.paths[0], registry);
+  std::vector<core::Checkpointable*> roots;
+  for (ObjectId id : recovered.state.roots)
+    roots.push_back(recovered.state.find(id));
+  const std::vector<std::uint8_t> serial =
+      serial_bytes(roots, recovered.state.epoch, core::Mode::kFull,
+                   /*cycle_guard=*/false);
+  (void)obs_scope.collector.drain();
+
+  const core::CompactResult compacted =
+      core::CheckpointManager::compact(logs.paths[0], registry);
+  if (core::usable_cpus() >= 2) {
+    EXPECT_EQ(parallel_spans(obs_scope.collector.drain()), 1u)
+        << "a rewrite this large shards";
+  }
+  const io::ScanResult scan = io::StableStorage::scan(logs.paths[0]);
+  ASSERT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(compacted.bytes_after, serial.size());
+  EXPECT_TRUE(scan.frames[0].payload == serial)
+      << "the compacted frame differs from the serial capture";
+}
+
+/// A manager's first take on an empty log has nothing to size from and
+/// runs serially; the next one shards on capture_threads_for(what the first
 /// visited) threads. A pinned count of 1 never shards.
-TEST(ParallelEquivalence, AutoThreadsShardFromTheSecondTake) {
+TEST(ParallelEquivalence, AutoThreadsFirstTakeOnAnEmptyLogIsSerial) {
   const ScratchLogs logs({"ickpt_parallel_equiv_pick.log",
                           "ickpt_parallel_equiv_pinned.log"});
   ScopedObs obs_scope;
@@ -610,8 +653,10 @@ TEST(ParallelEquivalence, AutoThreadsShardFromTheSecondTake) {
   {
     core::CheckpointManager manager(logs.paths[0]);
     const core::TakeResult first = manager.take(workload.root_bases());
+    EXPECT_EQ(first.mode, core::Mode::kFull);
     EXPECT_EQ(parallel_spans(collector.drain()), 0u)
-        << "the first take has no measurement and must run serially";
+        << "the first take on an empty log has no measurement and must run "
+           "serially";
     if (core::usable_cpus() >= 2) {
       workload.mutate();
       (void)manager.take(workload.root_bases());
@@ -637,6 +682,39 @@ TEST(ParallelEquivalence, AutoThreadsShardFromTheSecondTake) {
     EXPECT_EQ(parallel_spans(collector.drain()), 0u)
         << "capture_threads = 1 must stay on the serial driver";
   }
+}
+
+/// A full capture's cost is its bytes. A manager that reopens a log whose
+/// largest frame is past two threads' worth of bytes shards its first
+/// (full) take on full_capture_threads_for(that frame's bytes) threads.
+TEST(ParallelEquivalence, AutoThreadsReopenedFullTakeShardsFromTheLog) {
+  if (core::usable_cpus() < 2) GTEST_SKIP() << "needs 2 usable CPUs";
+  const ScratchLogs logs({"ickpt_parallel_equiv_reopen.log"});
+  ScopedObs obs_scope;
+  obs::TraceCollector& collector = obs_scope.collector;
+
+  core::Heap heap;
+  synth::SynthWorkload workload(heap, auto_pick_heap());
+  std::size_t full_bytes = 0;
+  {
+    core::CheckpointManager manager(logs.paths[0]);
+    full_bytes = manager.take(workload.root_bases()).bytes;
+  }
+  const unsigned expected = core::full_capture_threads_for(full_bytes);
+  ASSERT_GE(expected, 2u) << full_bytes << " byte(s) should shard";
+  (void)collector.drain();
+
+  core::CheckpointManager manager(logs.paths[0]);
+  workload.mutate();
+  const core::TakeResult taken =
+      manager.take_with_mode(workload.root_bases(), core::Mode::kFull);
+  EXPECT_EQ(taken.epoch, 1u);
+  EXPECT_EQ(parallel_spans(collector.drain()), 1u)
+      << "a reopened log's first full take must shard";
+  const obs::Snapshot snapshot = obs_scope.registry.snapshot();
+  const obs::MetricSnapshot* threads = snapshot.find("ickpt_capture_threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(threads->gauge_value, static_cast<std::int64_t>(expected));
 }
 
 /// Under the default, a heap that hangs off the only child of its only
@@ -669,6 +747,30 @@ TEST(ParallelEquivalence, AutoThreadsLeaveANarrowHeapSerial) {
   EXPECT_EQ(parallel_spans(obs_scope.collector.drain()), 0u);
 }
 
+/// The bytes pick follows the same rules: serial below two threads' worth
+/// of bytes, more threads for more bytes, never more than four or the CPUs
+/// there are.
+TEST(CaptureThreadsPick, FullCapturesPickFromTheirBytes) {
+  for (unsigned cpus : {1u, 2u, 3u, 4u, 8u, 64u}) {
+    SCOPED_TRACE("cpus " + std::to_string(cpus));
+    EXPECT_EQ(core::full_capture_threads_for(0, cpus), 1u);
+    EXPECT_EQ(core::full_capture_threads_for(std::uint64_t{1} << 30, cpus),
+              std::min(4u, cpus));
+    unsigned last = 1;
+    for (std::uint64_t bytes = 1024; bytes <= (std::uint64_t{1} << 24);
+         bytes *= 2) {
+      const unsigned pick = core::full_capture_threads_for(bytes, cpus);
+      EXPECT_GE(pick, last) << bytes << " byte(s)";
+      EXPECT_NE(pick, 0u);
+      last = pick;
+    }
+  }
+  // 26 MB, synth-capture's full payload, takes the widest pick.
+  EXPECT_EQ(core::full_capture_threads_for(26'000'000, 4), 4u);
+  EXPECT_EQ(core::full_capture_threads_for(std::uint64_t{1} << 30),
+            std::min(4u, core::usable_cpus()));
+}
+
 /// One thread per 2^14 objects, serial below two, and never more than four
 /// (the widest count measured) or the CPUs there are.
 TEST(CaptureThreadsPick, SerialBelowTwoThreadsWorthOfObjects) {
@@ -690,8 +792,8 @@ TEST(CaptureThreadsPick, SerialBelowTwoThreadsWorthOfObjects) {
 }
 
 /// usable_cpus() counts the CPUs this thread may run on, not the CPUs
-/// online: narrowed to one CPU, a 4-thread capture is oversubscribed (no
-/// backlog ahead of the frontier) and no heap is big enough to shard.
+/// online: narrowed to one CPU, no heap is big enough to shard, by object
+/// count or by bytes.
 TEST(CaptureThreadsPick, FollowsTheThreadAffinityMask) {
 #if defined(__linux__)
   cpu_set_t saved;
@@ -704,12 +806,12 @@ TEST(CaptureThreadsPick, FollowsTheThreadAffinityMask) {
   CPU_SET(first, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   const unsigned cpus = core::usable_cpus();
-  const std::size_t budget = core::auto_backlog_budget(4);
   const unsigned pick = core::capture_threads_for(1 << 20);
+  const unsigned full_pick = core::full_capture_threads_for(1 << 30);
   ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
   EXPECT_EQ(cpus, 1u);
-  EXPECT_EQ(budget, 0u);
   EXPECT_EQ(pick, 1u);
+  EXPECT_EQ(full_pick, 1u);
   EXPECT_EQ(core::usable_cpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
 #else
   GTEST_SKIP() << "thread affinity masks are Linux-only";

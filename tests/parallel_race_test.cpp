@@ -3,9 +3,9 @@
 //
 // Two scenarios TSan must certify:
 //  - worker/worker: repeated multi-threaded captures with the cycle guard's
-//    striped claim table engaged (cross-shard sharing forces real claim
-//    contention) — workers race on shard cursors, steal from each other,
-//    and contend on claim stripes.
+//    claim table engaged (cross-shard sharing forces real claim
+//    contention) — workers race on the item cursor, on claim slots, and on
+//    the chunk pool every item's chain draws from.
 //  - capture/mutator: a parallel capture over the first half of the root
 //    set while mutator threads flip modified flags on the *disjoint*
 //    second half. Disjointness is the documented contract (flags are plain
@@ -53,23 +53,20 @@ TEST(ParallelRace, WorkersContendOnClaimTable) {
   popts.threads = 4;
   popts.cycle_guard = true;
   popts.mode = core::Mode::kFull;
-  std::vector<std::uint8_t> first;
+  io::ChunkPool pool;
+  std::size_t first = 0;
   for (int round = 0; round < 8; ++round) {
-    io::VectorSink sink;
-    {
-      io::DataWriter writer(sink);
-      auto stats =
-          ParallelCheckpoint::run(writer, round, workload.root_bases(), popts);
-      writer.flush();
-      // Every reachable object is claimed exactly once despite contention.
-      EXPECT_EQ(stats.totals.objects_visited, reachable);
-    }
+    io::ChunkSink sink(pool);
+    auto stats =
+        ParallelCheckpoint::run(sink, round, workload.root_bases(), popts);
+    // Every reachable object is claimed exactly once despite contention.
+    EXPECT_EQ(stats.totals.objects_visited, reachable);
     // The payload size is claim-placement dependent only in record *order*,
     // never in record count, so the byte count is stable across rounds.
     if (round == 0)
-      first = sink.take();
+      first = sink.size();
     else
-      EXPECT_EQ(sink.size(), first.size()) << "round " << round;
+      EXPECT_EQ(sink.size(), first) << "round " << round;
   }
 }
 
@@ -111,15 +108,12 @@ TEST(ParallelRace, CaptureRacesMutatorsOnDisjointShards) {
   ParallelOptions popts;
   popts.threads = 4;
   popts.mode = core::Mode::kFull;
+  io::ChunkPool pool;
   std::vector<std::uint8_t> payload;
   for (int round = 0; round < 6; ++round) {
-    io::VectorSink sink;
-    {
-      io::DataWriter writer(sink);
-      ParallelCheckpoint::run(writer, round, captured, popts);
-      writer.flush();
-    }
-    payload = sink.take();
+    io::ChunkSink sink(pool);
+    ParallelCheckpoint::run(sink, round, captured, popts);
+    payload = sink.to_vector();
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : mutators) t.join();

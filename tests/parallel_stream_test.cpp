@@ -1,10 +1,11 @@
-// Streaming-merge behavior tests for core::ParallelCheckpoint: forced
-// out-of-order completion (the frontier stalls while every later item
-// publishes), header deferral on worker throw (zero bytes in the caller's
-// sink, strictly cleaner than the serial torn prefix), the all-null-roots
-// imbalance-histogram regression, and intra-root splitting byte/value
-// identity. Companion to tests/parallel_equiv_test.cpp, which covers the
-// randomized equivalence sweeps.
+// Splice behavior tests for core::ParallelCheckpoint: forced out-of-order
+// completion (item 0 stalls while every later item records), a worker
+// throw that leaves the caller's sink untouched (strictly cleaner than the
+// serial torn prefix), the chunk memory bound through a manager's takes,
+// the all-null-roots imbalance-histogram regression, and intra-root
+// splitting byte/value identity. Companion to
+// tests/parallel_equiv_test.cpp, which covers the randomized equivalence
+// sweeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,9 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/manager.hpp"
 #include "core/parallel_checkpoint.hpp"
 #include "io/byte_sink.hpp"
 #include "obs/metrics.hpp"
+#include "synth/workload.hpp"
 #include "tests/test_types.hpp"
 
 namespace ickpt::testing {
@@ -27,8 +30,8 @@ using core::ParallelOptions;
 using core::ParallelStats;
 
 /// Leaf whose record() blocks on an external gate — placed at root 0 it
-/// pins the merge frontier while every later item publishes, forcing the
-/// maximum possible out-of-order backlog. A null gate records immediately
+/// holds item 0 back while every later item records, the most out-of-order
+/// completion there is. A null gate records immediately
 /// (the serial-reference configuration). The 20s failsafe turns a scheduling
 /// bug into failed assertions instead of a hung test.
 class StallLeaf final : public core::WithCheckpointInfo {
@@ -62,8 +65,7 @@ class StallLeaf final : public core::WithCheckpointInfo {
   std::atomic<bool>* gate_;
 };
 
-/// Leaf whose record() throws: lands in work item 0, so the merge frontier
-/// never advances and the stream header is never emitted.
+/// Leaf whose record() throws mid-capture.
 class ThrowLeaf final : public core::WithCheckpointInfo {
  public:
   static constexpr TypeId kTypeId = 942;
@@ -107,22 +109,20 @@ class Wide final : public core::WithCheckpointInfo {
 std::vector<std::uint8_t> parallel_bytes(
     std::span<core::Checkpointable* const> roots, Epoch epoch,
     const ParallelOptions& popts, ParallelStats* out = nullptr) {
-  io::VectorSink sink;
-  {
-    io::DataWriter writer(sink);
-    ParallelStats stats = ParallelCheckpoint::run(writer, epoch, roots, popts);
-    writer.flush();
-    if (out != nullptr) *out = stats;
-  }
-  return sink.take();
+  io::ChunkPool pool;
+  io::ChunkSink sink(pool);
+  ParallelStats stats = ParallelCheckpoint::run(sink, epoch, roots, popts);
+  if (out != nullptr) *out = stats;
+  return sink.to_vector();
 }
 
-/// Frontier stalled at item 0 while every other item publishes: the merged
-/// stream must still be byte-identical to serial, nothing may take the
-/// direct path (the header arrives after all recording is done), and the
-/// buffered high-water must equal exactly the out-of-order volume — the sum
-/// of every non-frontier item's segment.
-TEST(ParallelStream, OutOfOrderCompletionStreamsInOrderAndBoundsBacklog) {
+constexpr std::size_t kChunk = io::ChunkPool::kChunkBytes;
+
+/// Item 0 held back until every other item has recorded: the spliced
+/// stream must still be byte-identical to serial, and each item's chain
+/// costs at most one partly filled chunk, so the capture maps no more than
+/// payload + (items + 1) chunks.
+TEST(ParallelStream, OutOfOrderCompletionSplicesInItemOrder) {
   constexpr std::size_t kRoots = 64;
   core::Heap heap;
   std::atomic<bool> gate{true};
@@ -140,76 +140,130 @@ TEST(ParallelStream, OutOfOrderCompletionStreamsInOrderAndBoundsBacklog) {
 
   for (unsigned threads : {2u, 4u, 8u}) {
     // kRoots >= threads*4 for every tested count, so range mode deals
-    // exactly threads*4 items and the staller owns item 0 alone.
+    // exactly threads*4 items and the staller sits in item 0.
     const std::size_t nitems = static_cast<std::size_t>(threads) * 4;
     ASSERT_GE(kRoots, nitems);
     gate.store(false, std::memory_order_release);
-    std::atomic<std::size_t> published{0};
+    std::atomic<std::size_t> recorded{0};
 
     ParallelOptions popts;
     popts.mode = core::Mode::kFull;
     popts.threads = threads;
-    // Explicit large budget: the auto policy on an oversubscribed box
-    // forbids buffering ahead of the frontier, which is exactly what this
-    // test must force.
-    popts.merge_backlog_bytes = std::size_t{1} << 30;
     popts.test_item_hook = [&](std::size_t item) {
       if (item != 0 &&
-          published.fetch_add(1, std::memory_order_acq_rel) + 1 == nitems - 1)
+          recorded.fetch_add(1, std::memory_order_acq_rel) + 1 == nitems - 1)
         gate.store(true, std::memory_order_release);
     };
 
-    ParallelStats stats;
-    const auto parallel = parallel_bytes(roots, 5, popts, &stats);
+    io::ChunkPool pool;
+    io::ChunkSink sink(pool);
+    const ParallelStats stats =
+        ParallelCheckpoint::run(sink, 5, roots, popts);
     const std::string context = "threads " + std::to_string(threads);
 
-    EXPECT_EQ(parallel, serial) << context;
+    EXPECT_EQ(sink.to_vector(), serial) << context;
     ASSERT_EQ(stats.shards, nitems) << context;
-    EXPECT_EQ(stats.direct_items, 0u) << context;
-    std::size_t out_of_order = 0;
-    for (std::size_t i = 1; i < stats.shard_stats.size(); ++i) {
-      EXPECT_FALSE(stats.shard_stats[i].streamed_direct) << context;
-      out_of_order += stats.shard_stats[i].bytes;
-    }
-    EXPECT_GT(out_of_order, 0u) << context;
-    EXPECT_EQ(stats.merge_buffered_peak_bytes, out_of_order) << context;
+    std::size_t item_bytes = 0;
+    for (const core::ShardStats& shard : stats.shard_stats)
+      item_bytes += shard.bytes;
+    EXPECT_LT(item_bytes, serial.size()) << context << ": header and end tag";
+    // One chunk for the header, one per item that recorded anything.
+    EXPECT_LE(sink.chunks(), nitems + 1) << context;
+    EXPECT_LE(pool.peak_mapped_bytes(), serial.size() + (nitems + 1) * kChunk)
+        << context;
   }
 }
 
-/// A worker throw before anything streamed must leave the caller's sink
-/// completely untouched — the header is deferred behind the first merge
-/// flush. The serial driver, by contrast, has already written its header
+/// A worker throw leaves the caller's sink exactly as it was: the header
+/// is written only after the join, and the items' chains go back to the
+/// pool. The serial driver, by contrast, has already written its header
 /// (and possibly a record prefix) when the same throw lands.
-TEST(ParallelStream, WorkerThrowBeforeStreamingLeavesZeroBytes) {
+TEST(ParallelStream, WorkerThrowLeavesTheSinkUntouched) {
   constexpr std::size_t kRoots = 64;
   core::Heap heap;
-  std::vector<core::Checkpointable*> roots;
-  roots.push_back(heap.make<ThrowLeaf>());
-  for (std::size_t i = 1; i < kRoots; ++i) roots.push_back(heap.make<Leaf>());
+  for (std::size_t thrower : {std::size_t{0}, kRoots / 2, kRoots - 1}) {
+    std::vector<core::Checkpointable*> roots;
+    for (std::size_t i = 0; i < kRoots; ++i)
+      roots.push_back(i == thrower
+                          ? static_cast<core::Checkpointable*>(
+                                heap.make<ThrowLeaf>())
+                          : heap.make<Leaf>());
+    const std::string context = "throw at root " + std::to_string(thrower);
 
-  // Serial contrast: header + prefix are already torn into the sink.
-  {
-    io::VectorSink sink;
-    io::DataWriter writer(sink);
-    core::CheckpointOptions opts;
-    opts.mode = core::Mode::kFull;
-    EXPECT_THROW(core::Checkpoint::run(writer, 9, roots, opts),
-                 std::runtime_error);
-    writer.flush();
-    EXPECT_GT(sink.size(), 0u);
-  }
+    // Serial contrast: header + prefix are already torn into the sink.
+    {
+      io::VectorSink sink;
+      io::DataWriter writer(sink);
+      core::CheckpointOptions opts;
+      opts.mode = core::Mode::kFull;
+      EXPECT_THROW(core::Checkpoint::run(writer, 9, roots, opts),
+                   std::runtime_error);
+      writer.flush();
+      EXPECT_GT(sink.size(), 0u) << context;
+    }
 
-  io::VectorSink sink;
-  {
-    io::DataWriter writer(sink);
+    io::ChunkPool pool;
+    io::ChunkSink sink(pool);
+    const std::uint8_t before[] = {1, 2, 3};
+    sink.write(before, sizeof(before));
     ParallelOptions popts;
     popts.mode = core::Mode::kFull;
     popts.threads = 4;
-    EXPECT_THROW(ParallelCheckpoint::run(writer, 9, roots, popts),
-                 std::runtime_error);
-    writer.flush();
+    EXPECT_THROW(ParallelCheckpoint::run(sink, 9, roots, popts),
+                 std::runtime_error)
+        << context;
+    EXPECT_EQ(sink.to_vector(), std::vector<std::uint8_t>({1, 2, 3}))
+        << context;
+    // Only the sink's own chunk is still out of the pool.
+    EXPECT_EQ(pool.mapped_bytes(), (1 + pool.kept_chunks()) * kChunk)
+        << context;
   }
-  EXPECT_EQ(sink.bytes().size(), 0u);
+}
+
+/// The memory bound, through a manager: a sharded full take maps at most
+/// payload + (items + 1) chunks; after the next (incremental) take the pool
+/// keeps no more chunks than that take used; destroying the manager unmaps
+/// every chunk.
+TEST(ParallelStream, ChunkPoolHoldsTheMemoryBound) {
+  const std::string path =
+      ::testing::TempDir() + "/ickpt_parallel_stream_bound.log";
+  std::remove(path.c_str());
+  const std::size_t mapped_before = io::ChunkPool::mapped_bytes_total();
+  core::Heap heap;
+  synth::SynthConfig config;
+  config.num_structures = 2600;
+  config.modified_lists = 1;
+  config.percent_modified = 25;
+  synth::SynthWorkload workload(heap, config);
+  {
+    core::ManagerOptions opts;
+    opts.capture_threads = 4;
+    core::CheckpointManager manager(path, opts);
+    const io::ChunkPool& pool = manager.chunk_pool();
+    EXPECT_EQ(pool.mapped_bytes(), 0u) << "nothing is mapped before a take";
+
+    // 2,600 roots feed range mode: 4 threads x 4 items.
+    const std::size_t items = 4 * ParallelCheckpoint::kItemsPerThread;
+    const core::TakeResult full = manager.take(workload.root_bases());
+    ASSERT_EQ(full.mode, core::Mode::kFull);
+    EXPECT_GT(full.bytes, 2 * kChunk) << "the payload spans several chunks";
+    EXPECT_LE(pool.peak_mapped_bytes(), full.bytes + (items + 1) * kChunk);
+    const std::size_t after_full = pool.mapped_bytes();
+
+    // Nothing dirty: every item records nothing and takes no chunk, so the
+    // take uses one chunk, for the header and the end tag.
+    const core::TakeResult incr = manager.take(workload.root_bases());
+    ASSERT_EQ(incr.mode, core::Mode::kIncremental);
+    ASSERT_EQ(incr.stats.objects_recorded, 0u);
+    // Every chunk is back in the pool, which keeps what this take used.
+    EXPECT_EQ(pool.mapped_bytes(), pool.kept_chunks() * kChunk);
+    EXPECT_EQ(pool.kept_chunks(), 1u);
+    EXPECT_LT(pool.mapped_bytes(), after_full);
+  }
+  EXPECT_EQ(io::ChunkPool::mapped_bytes_total(), mapped_before)
+      << "destroying the manager unmaps every chunk";
+  std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
 }
 
 /// All-null root sets visit nothing, so max/mean worker load is undefined:

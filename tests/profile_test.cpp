@@ -99,28 +99,25 @@ TEST(CaptureProfileTest, ProfiledCaptureIsByteIdenticalToUnprofiled) {
 
   // Same property for the sharded driver against its own unprofiled run.
   workload.restore_flags(flags);
-  io::VectorSink par_plain;
+  io::ChunkPool pool;
+  io::ChunkSink par_plain(pool);
   {
-    io::DataWriter writer(par_plain);
     core::ParallelOptions opts;
     opts.mode = core::Mode::kIncremental;
     opts.threads = 3;
-    core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
-    writer.flush();
+    core::ParallelCheckpoint::run(par_plain, 0, workload.root_bases(), opts);
   }
   workload.restore_flags(flags);
   CaptureProfile par_prof;
-  io::VectorSink par_sink;
+  io::ChunkSink par_sink(pool);
   {
-    io::DataWriter writer(par_sink);
     core::ParallelOptions opts;
     opts.mode = core::Mode::kIncremental;
     opts.threads = 3;
     opts.profile = &par_prof;
-    core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
-    writer.flush();
+    core::ParallelCheckpoint::run(par_sink, 0, workload.root_bases(), opts);
   }
-  EXPECT_EQ(par_sink.take(), par_plain.take());
+  EXPECT_EQ(par_sink.to_vector(), par_plain.to_vector());
   EXPECT_GT(par_prof.busy_ns, 0u);
 }
 
@@ -131,23 +128,21 @@ TEST(CaptureProfileTest, ShardedCaptureFoldsShardProfilesAndMerge) {
   synth::SynthWorkload workload(heap, config);
 
   CaptureProfile prof;
-  io::VectorSink sink;
+  io::ChunkPool pool;
+  io::ChunkSink sink(pool);
   {
-    io::DataWriter writer(sink);
     core::ParallelOptions opts;
     opts.mode = core::Mode::kFull;
     opts.threads = 4;
     opts.profile = &prof;
-    core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
-    writer.flush();
+    core::ParallelCheckpoint::run(sink, 0, workload.root_bases(), opts);
   }
 
   expect_stages_cover_busy(prof, "sharded full");
   EXPECT_GT(prof.shards, 1u) << "shard profiles were folded in";
+  // The splice after the join: header, item chains, end tag.
   EXPECT_GT(prof.stage_ns[P::kMerge], 0u);
-  // Shard-private sinks held the full stream body between them.
-  EXPECT_GT(prof.shard_sink_bytes, 0u);
-  EXPECT_LE(prof.shard_sink_bytes, sink.size());
+  EXPECT_GT(sink.size(), 0u);
   EXPECT_GT(prof.objects, 0u);
   EXPECT_EQ(prof.epochs, 1u);
 }
@@ -159,16 +154,15 @@ TEST(CaptureProfileTest, CycleGuardAccountsClaimArbitration) {
   synth::SynthWorkload workload(heap, config);
 
   CaptureProfile prof;
-  io::VectorSink sink;
+  io::ChunkPool pool;
+  io::ChunkSink sink(pool);
   {
-    io::DataWriter writer(sink);
     core::ParallelOptions opts;
     opts.mode = core::Mode::kFull;
     opts.threads = 4;
     opts.cycle_guard = true;
     opts.profile = &prof;
-    core::ParallelCheckpoint::run(writer, 0, workload.root_bases(), opts);
-    writer.flush();
+    core::ParallelCheckpoint::run(sink, 0, workload.root_bases(), opts);
   }
 
   expect_stages_cover_busy(prof, "sharded cycle-guard");
@@ -207,19 +201,15 @@ TEST(CaptureProfileTest, PlanExecutorAttributesSerializeAndCounts) {
   // The sharded plan driver folds shard profiles plus the merge stage.
   workload.restore_flags(flags);
   CaptureProfile par;
-  io::VectorSink par_sink;
-  {
-    io::DataWriter writer(par_sink);
-    spec::run_plan_checkpoint_parallel(writer, 0, workload.root_ptrs(), exec,
-                                       /*threads=*/4,
-                                       core::Mode::kIncremental, &par);
-    writer.flush();
-  }
+  io::ChunkPool pool;
+  io::ChunkSink par_sink(pool);
+  spec::run_plan_checkpoint_parallel(par_sink, 0, workload.root_ptrs(), exec,
+                                     /*threads=*/4, core::Mode::kIncremental,
+                                     &par);
   expect_stages_cover_busy(par, "plan sharded");
   EXPECT_GT(par.shards, 1u);
   EXPECT_GT(par.stage_ns[P::kMerge], 0u);
-  EXPECT_GT(par.shard_sink_bytes, 0u);
-  EXPECT_EQ(par_sink.take(), sink.take())
+  EXPECT_EQ(par_sink.to_vector(), sink.take())
       << "profiled sharded plan output stays byte-identical to serial";
 }
 

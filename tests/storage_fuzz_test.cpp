@@ -234,14 +234,26 @@ TEST(StorageScan, HugeLengthPastEndOfFileIsATornPayload) {
   std::remove(path.c_str());
 }
 
+/// One payload of `n` bytes of `fill` in chunks from `pool`.
+io::ChunkSink chunk_payload(io::ChunkPool& pool, std::size_t n,
+                            std::uint8_t fill) {
+  io::ChunkSink sink(pool);
+  const std::vector<std::uint8_t> bytes(n, fill);
+  sink.write(bytes.data(), bytes.size());
+  return sink;
+}
+
 TEST(AsyncLogErrors, FailedAppendSurfacesOnDrain) {
   std::string path = ::testing::TempDir() + "/ickpt_async_err.log";
   std::remove(path.c_str());
-  StableStorage storage(path);
+  // A torn write inside the first frame header: the worker's append throws;
+  // the error must be sticky, surface on drain, and carry the seq of the
+  // lost frame.
+  io::ScriptedFaultPolicy torn(io::FaultKind::kTornWrite, 5);
+  StableStorage storage(path, io::StorageOptions{.fault = &torn});
+  io::ChunkPool pool;
   core::AsyncLog log(storage);
-  // Oversized payload: the worker's append throws; the error must be
-  // sticky, surface on drain, and carry the seq of the lost frame.
-  log.submit(std::vector<std::uint8_t>((1u << 30) + 1));
+  log.submit(chunk_payload(pool, 64, 0x41));
   try {
     log.drain();
     FAIL() << "drain() must rethrow the background append failure";
@@ -253,7 +265,9 @@ TEST(AsyncLogErrors, FailedAppendSurfacesOnDrain) {
   // the log is poisoned: further submits rethrow instead of writing frames
   // under the wrong sequence numbers.
   EXPECT_TRUE(log.poisoned());
-  EXPECT_THROW(log.submit(std::vector<std::uint8_t>(16, 0x42)), IoError);
+  io::ChunkSink late = chunk_payload(pool, 16, 0x42);
+  EXPECT_THROW(log.submit(std::move(late)), IoError);
+  EXPECT_EQ(late.size(), 16u) << "a refused payload stays with the caller";
   auto scan = StableStorage::scan(path);
   EXPECT_TRUE(scan.frames.empty());
   std::remove(path.c_str());
